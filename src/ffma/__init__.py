@@ -1,8 +1,7 @@
 """Finite-field multiple-access coding over GF(2^m) with a GMAC simulator."""
 
 from .analysis import FblParams, fbl_rate_bound, gain_figures
-from .baseline_aloha import AlohaConfig, aloha_receive, aloha_transmit
-from .channel import GmacChannel, add_awgn, superimpose
+from .baseline_aloha import AlohaConfig, aloha_cfsp_batch, aloha_receive_batch
 from .ep_code import (
     ElementPair,
     EpSet,
@@ -15,29 +14,22 @@ from .ep_code import (
 )
 from .experiment import BerPoint, ExperimentSpec, emit_plot_data, run_experiment
 from .ffma_system import (
-    FrameResult,
     SystemConfig,
     cfsp_posterior,
-    df_transmit,
     make_system,
     pa_power_allocation,
-    pa_transmit,
-    receive,
-    sf_transmit,
-    simulate_frame,
-    sum_pattern_model,
+    receive_batch,
+    transmit_cfsp_batch,
 )
-from .gf2m import BasisGF2m, GF2m, build_field, field_for
+from .gf2m import BasisGF2m
 from .linear_code import (
     LinearCode,
     ParityCheckMatrix,
     SystematicGenerator,
-    bp_decode,
+    bp_decode_batch,
     encode,
     ldpc_construct,
     load_alist,
-    repetition_encode,
-    repetition_soft_decode,
     save_alist,
 )
 

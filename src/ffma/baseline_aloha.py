@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear_code import repetition_encode
-
 
 @dataclass(frozen=True)
 class AlohaConfig:
@@ -43,36 +41,14 @@ class AlohaConfig:
         return self.n // (self.j_users * self.k)
 
 
-def aloha_transmit(bits, cfg: AlohaConfig, p_avg: float = 1.0) -> np.ndarray:
-    """Per-user signals, (J, n); user j is nonzero only in slot j."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.shape != (cfg.j_users, cfg.k):
-        raise ValueError(f"bits must be ({cfg.j_users}, {cfg.k}), got {bits.shape}")
-    a = np.sqrt(p_avg)
-    x = np.zeros((cfg.j_users, cfg.n), dtype=np.float64)
-    for j in range(cfg.j_users):
-        sl = slice(j * cfg.slot_len, (j + 1) * cfg.slot_len)
-        x[j, sl] = a * (2.0 * repetition_encode(bits[j], cfg.repeat) - 1.0)
-    return x
-
-
-def aloha_receive(y, cfg: AlohaConfig, n0: float | None = None) -> np.ndarray:
-    """Recover all users' bits from one received frame, (J, k).
+def aloha_receive_batch(y, cfg: AlohaConfig) -> np.ndarray:
+    """Recover all users' bits from a (batch, n) block, result (batch, J, k).
 
     Equal-gain combining: per bit, sum the repeat copies of the received
     samples and decide 1 on a positive sum (ties resolve to 0).  The
     noise level only scales the per-symbol LLRs by a common positive
-    factor, so it does not affect the decision and is accepted only for
-    interface symmetry.
+    factor, so the decision does not need it.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (cfg.n,):
-        raise ValueError(f"y must have length {cfg.n}, got shape {y.shape}")
-    return aloha_receive_batch(y[None, :], cfg)[0]
-
-
-def aloha_receive_batch(y, cfg: AlohaConfig) -> np.ndarray:
-    """Batched combining; y is (batch, n), result (batch, J, k)."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != cfg.n:
         raise ValueError(f"y must be (batch, {cfg.n}), got {y.shape}")
@@ -84,8 +60,8 @@ def aloha_receive_batch(y, cfg: AlohaConfig) -> np.ndarray:
 def aloha_cfsp_batch(bits, cfg: AlohaConfig, p_avg: float = 1.0) -> np.ndarray:
     """Noiseless channel sum for a (batch, J, k) bit block.
 
-    Slots are disjoint, so the sum is just the users' signals laid side
-    by side.
+    User j is nonzero only in slot j, so the sum is just the users'
+    repeated BPSK signals laid side by side.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 3 or bits.shape[1:] != (cfg.j_users, cfg.k):

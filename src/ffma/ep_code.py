@@ -35,7 +35,6 @@ class EpSet:
     """Ordered element pairs; pair j-1 belongs to user j."""
 
     pairs: tuple[ElementPair, ...]
-    field: object
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -50,7 +49,7 @@ def orthogonal_ep_set(field, j_users: int) -> EpSet:
     if not 1 <= j_users <= field.m:
         raise ValueError(f"j_users={j_users} out of range [1, m={field.m}]")
     pairs = tuple(ElementPair(0, field.power_of_alpha(j)) for j in range(j_users))
-    return EpSet(pairs=pairs, field=field)
+    return EpSet(pairs=pairs)
 
 
 def f_b2q(bit: int, pair: ElementPair) -> int:

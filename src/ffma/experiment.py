@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import gain_figures
+from .analysis import polarization_gain_db, repetition_gain_db
 from .baseline_aloha import AlohaConfig, aloha_cfsp_batch, aloha_receive_batch
 from .ffma_system import make_system, receive_batch, transmit_cfsp_batch
 from .linear_code import LinearCode
@@ -151,7 +151,6 @@ _WORKER: dict = {}
 def _init_worker(spec: ExperimentSpec, code: LinearCode | None) -> None:
     _WORKER["spec"] = spec
     _WORKER["code"] = code
-    _WORKER["cfg_key"] = None
 
 
 def _simulate_batch(
@@ -259,13 +258,11 @@ def _run_point(spec, code, executor, j_users, n0, point_index):
 def run_experiment(spec: ExperimentSpec) -> list[BerPoint]:
     """Run the sweep, write the CSV, and return the per-point records."""
     code = _load_code(spec)
-    if spec.system in ("PA", "ALOHA"):
+    if spec.system == "PA":
+        log.info("polarization gain %.2f dB", polarization_gain_db(spec.mu_pas))
+    elif spec.system == "ALOHA":
         for j in spec.j_list:
-            figures = gain_figures(spec.n, spec.k, j, spec.mu_pas)
-            log.info(
-                "J=%d: polarization gain %.2f dB, repetition gain %.2f dB",
-                j, figures["polarization_gain_db"], figures["repetition_gain_db"],
-            )
+            log.info("J=%d: repetition gain %.2f dB", j, repetition_gain_db(spec.n, j, spec.k))
 
     executor = None
     if spec.workers > 1:

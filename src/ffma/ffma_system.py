@@ -1,6 +1,8 @@
 """Finite-field multiple-access transmitter/receiver chains over a GMAC.
 
-Three modes share one (n, m*k) systematic binary code:
+Three modes share one (n, m*k) systematic binary code; the transmitter
+computes the channel-side sum of all users' signals for a batch of
+frames at once:
 
 * SF (sparse form): every user embeds its k bits into its own plane of
   the GF(2^m) tuple stream, encodes the resulting sparse m*k-bit message
@@ -31,17 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .channel import GmacChannel, add_awgn, superimpose
-from .ep_code import EpSet, orthogonal_ep_set
-from .gf2m import field_for
-from .linear_code import LinearCode, bp_decode_batch, encode
+from .linear_code import LinearCode, bp_decode_batch
 
 MODES = ("SF", "DF", "PA")
 
 
 @dataclass
 class SystemConfig:
-    """Scenario parameters binding a code, a field and an EP set."""
+    """Scenario parameters binding users and a mode to a code."""
 
     n: int
     k: int
@@ -49,8 +48,6 @@ class SystemConfig:
     j_users: int
     mode: str
     code: LinearCode
-    field: object
-    eps: EpSet
     mu_pas: float = 1.0
     p_avg: float = 1.0
     n0: float = 1.0
@@ -67,8 +64,6 @@ class SystemConfig:
             raise ValueError(f"blocklength {self.n} != code length {self.code.n}")
         if not 1 <= self.j_users <= self.m:
             raise ValueError(f"j_users={self.j_users} out of range [1, m={self.m}]")
-        if len(self.eps) < self.j_users:
-            raise ValueError("EP set smaller than the number of users")
         if self.mode == "PA" and not 1 <= self.mu_pas <= self.m:
             raise ValueError(
                 f"power scaling factor {self.mu_pas} violates 1 <= mu_pas <= m={self.m}"
@@ -93,125 +88,13 @@ def make_system(
     col_weight: int = 3,
     max_iter: int = 50,
 ) -> SystemConfig:
-    """Assemble a SystemConfig, generating code/field/EP set as needed."""
+    """Assemble a SystemConfig, generating the code if none is given."""
     if code is None:
         code = LinearCode.generate(n, m * k, col_weight=col_weight, seed=seed)
-    fld = field_for(m)
-    eps = orthogonal_ep_set(fld, j_users)
     return SystemConfig(
-        n=n, k=k, m=m, j_users=j_users, mode=mode, code=code, field=fld,
-        eps=eps, mu_pas=mu_pas, p_avg=p_avg, n0=n0, max_iter=max_iter,
+        n=n, k=k, m=m, j_users=j_users, mode=mode, code=code,
+        mu_pas=mu_pas, p_avg=p_avg, n0=n0, max_iter=max_iter,
     )
-
-
-@dataclass(frozen=True)
-class SumPatternModel:
-    """Distribution of the superposed antipodal sum of J fair bits.
-
-    ``omega_r`` holds the J+1 possible channel sums in ascending order,
-    ``omega_v`` the matching finite-field sums (bit parities, which
-    alternate), and ``probs`` the binomial weights.
-    """
-
-    omega_r: np.ndarray
-    omega_v: np.ndarray
-    probs: np.ndarray
-
-
-def sum_pattern_model(j_users: int) -> SumPatternModel:
-    if j_users < 1:
-        raise ValueError(f"j_users must be >= 1, got {j_users}")
-    iota = np.arange(j_users + 1)
-    return SumPatternModel(
-        omega_r=2 * iota - j_users,
-        omega_v=iota % 2,
-        probs=np.array([math.comb(j_users, int(i)) for i in iota], dtype=np.float64)
-        / 2.0 ** j_users,
-    )
-
-
-@dataclass
-class FrameResult:
-    """Per-frame bookkeeping: what went in, what came out."""
-
-    rx_bits: np.ndarray
-    active_flags: np.ndarray
-    decoder_converged: bool
-    tx_bits: np.ndarray | None = None
-
-    def bit_errors(self) -> int:
-        if self.tx_bits is None:
-            raise ValueError("no transmitted bits recorded")
-        return int(np.sum(self.tx_bits != self.rx_bits))
-
-    def per_user_errors(self) -> np.ndarray:
-        if self.tx_bits is None:
-            raise ValueError("no transmitted bits recorded")
-        return (self.tx_bits != self.rx_bits).sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Transmitters
-# ---------------------------------------------------------------------------
-
-def _check_bits(bits, cfg: SystemConfig) -> np.ndarray:
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.shape != (cfg.j_users, cfg.k):
-        raise ValueError(f"bits must be ({cfg.j_users}, {cfg.k}), got {bits.shape}")
-    return bits
-
-
-def sf_transmit(bits, cfg: SystemConfig) -> np.ndarray:
-    """Sparse-form transmitter: (J, n) antipodal signal matrix.
-
-    User j's element sequence occupies tuple position j-1 of each of the
-    k message blocks; the flattened m*k-bit message is encoded by the
-    shared systematic code and mapped to +-sqrt(p_avg).
-    """
-    if cfg.mode != "SF":
-        raise ValueError(f"sf_transmit needs mode SF, got {cfg.mode}")
-    bits = _check_bits(bits, cfg)
-    msgs = np.zeros((cfg.j_users, cfg.m * cfg.k), dtype=np.uint8)
-    block = np.arange(cfg.k) * cfg.m
-    for j in range(cfg.j_users):
-        msgs[j, block + j] = bits[j]
-    codewords = encode(msgs, cfg.code.gen)
-    return math.sqrt(cfg.p_avg) * (2.0 * codewords - 1.0)
-
-
-def _diag_parity(bits: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Parity blocks of the diagonal-form messages, shape (J, n - m*k)."""
-    parity = np.zeros((cfg.j_users, cfg.n - cfg.m * cfg.k), dtype=np.uint8)
-    P = cfg.code.gen.parity
-    for j in range(cfg.j_users):
-        rows = P[j * cfg.k : (j + 1) * cfg.k]
-        parity[j] = (bits[j].astype(np.int64) @ rows) & 1
-    return parity
-
-
-def _diag_signals(bits: np.ndarray, cfg: SystemConfig, a_info: float, a_parity: float) -> np.ndarray:
-    x = np.zeros((cfg.j_users, cfg.n), dtype=np.float64)
-    parity = _diag_parity(bits, cfg)
-    mk = cfg.m * cfg.k
-    for j in range(cfg.j_users):
-        sl = slice(j * cfg.k, (j + 1) * cfg.k)
-        x[j, sl] = a_info * (2.0 * bits[j] - 1.0)
-        x[j, mk:] = a_parity * (2.0 * parity[j] - 1.0)
-    return x
-
-
-def df_transmit(bits, cfg: SystemConfig) -> np.ndarray:
-    """Diagonal-form transmitter: energy only on own slot + parity segment.
-
-    Each row of the result is a full-length signal whose silent
-    coordinates carry amplitude 0, i.e. the position-mapped shortened
-    codeword (b_j, parity_j) of length n - (m-1)k.
-    """
-    if cfg.mode not in ("DF", "PA"):
-        raise ValueError(f"df_transmit needs mode DF or PA, got {cfg.mode}")
-    bits = _check_bits(bits, cfg)
-    a = math.sqrt(cfg.p_avg)
-    return _diag_signals(bits, cfg, a, a)
 
 
 def pa_power_allocation(cfg: SystemConfig) -> tuple[float, float]:
@@ -230,34 +113,55 @@ def pa_power_allocation(cfg: SystemConfig) -> tuple[float, float]:
     return cfg.mu_pas * mu2, mu2
 
 
-def pa_transmit(bits, cfg: SystemConfig) -> np.ndarray:
-    """Polarization-adjusted transmitter: DF layout, reallocated power."""
-    if cfg.mode != "PA":
-        raise ValueError(f"pa_transmit needs mode PA, got {cfg.mode}")
-    bits = _check_bits(bits, cfg)
-    mu1, mu2 = pa_power_allocation(cfg)
-    return _diag_signals(
-        bits, cfg, math.sqrt(mu1 * cfg.p_avg), math.sqrt(mu2 * cfg.p_avg)
-    )
+def _power_pair(cfg: SystemConfig) -> tuple[float, float]:
+    if cfg.mode == "PA":
+        return pa_power_allocation(cfg)
+    return 1.0, 1.0
 
 
-def transmit(bits, cfg: SystemConfig) -> np.ndarray:
-    """Mode dispatch to the matching transmitter."""
+# ---------------------------------------------------------------------------
+# Transmitter
+# ---------------------------------------------------------------------------
+
+def transmit_cfsp_batch(bits, cfg: SystemConfig) -> np.ndarray:
+    """Channel-side sum of all users' signals for a (batch, J, k) bit block.
+
+    Equal to the frame-by-frame sum of the per-user signals described in
+    the module docstring (the test suite keeps those per-user transmitters
+    as its reference), but computed directly from bit counts so large
+    batches stay cheap.  Returns the noiseless (batch, n) sum sequence.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim != 3 or bits.shape[1:] != (cfg.j_users, cfg.k):
+        raise ValueError(
+            f"bits must be (batch, {cfg.j_users}, {cfg.k}), got {bits.shape}"
+        )
+    B = bits.shape[0]
+    mk = cfg.m * cfg.k
+    P = cfg.code.gen.parity
+    a = math.sqrt(cfg.p_avg)
+    J = cfg.j_users
+
     if cfg.mode == "SF":
-        return sf_transmit(bits, cfg)
-    if cfg.mode == "DF":
-        return df_transmit(bits, cfg)
-    return pa_transmit(bits, cfg)
+        # Message rows of user j inside P: tuple position j of block k.
+        rows = (np.arange(cfg.k)[None, :] * cfg.m + np.arange(J)[:, None])
+        sub = P[rows].astype(np.int64)                      # (J, k, n - mk)
+        par = np.einsum("bjk,jkp->bjp", bits.astype(np.int64), sub) & 1
+        ones = np.zeros((B, cfg.n), dtype=np.int64)
+        ones[:, rows.reshape(-1)] = bits.reshape(B, -1)
+        ones[:, mk:] = par.sum(axis=1)
+        return a * (2.0 * ones - float(J))
 
-
-def per_user_energy(cfg: SystemConfig) -> float:
-    """Total transmitted energy per user per frame."""
-    if cfg.mode == "SF":
-        return cfg.n * cfg.p_avg
-    if cfg.mode == "DF":
-        return (cfg.n - (cfg.m - 1) * cfg.k) * cfg.p_avg
-    mu1, mu2 = pa_power_allocation(cfg)
-    return (cfg.k * mu1 + (cfg.n - cfg.m * cfg.k) * mu2) * cfg.p_avg
+    mu1, mu2 = _power_pair(cfg)
+    a_info = math.sqrt(mu1) * a
+    a_par = math.sqrt(mu2) * a
+    rows = (np.arange(J)[:, None] * cfg.k + np.arange(cfg.k)[None, :])
+    sub = P[rows].astype(np.int64)
+    par = np.einsum("bjk,jkp->bjp", bits.astype(np.int64), sub) & 1
+    r = np.zeros((B, cfg.n), dtype=np.float64)
+    r[:, : J * cfg.k] = a_info * (2.0 * bits.reshape(B, -1) - 1.0)
+    r[:, mk:] = a_par * (2.0 * par.sum(axis=1) - float(J))
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +199,6 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
     if np.isscalar(y) or (isinstance(y, np.ndarray) and y.ndim == 0):
         return float(p0), float(p1)
     return p0, p1
-
-
-def _power_pair(cfg: SystemConfig) -> tuple[float, float]:
-    if cfg.mode == "PA":
-        return pa_power_allocation(cfg)
-    return 1.0, 1.0
 
 
 def _bit_priors(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -354,72 +252,3 @@ def receive_batch(y, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     w_hat = v_hat[:, : cfg.m * cfg.k]
     rx_bits = w_hat[:, _user_bit_index(cfg)]
     return rx_bits, rx_bits.any(axis=2), converged
-
-
-def receive(y, cfg: SystemConfig, tx_bits=None) -> FrameResult:
-    """Recover all users' bits from one received frame.
-
-    Builds the per-coordinate posteriors for the configured mode, decodes
-    the sum-pattern codeword once, extracts user bits from the message
-    section, and marks users that decoded to all-zero as inactive.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (cfg.n,):
-        raise ValueError(f"y must have length {cfg.n}, got shape {y.shape}")
-    rx, flags, conv = receive_batch(y[None, :], cfg)
-    tx = None if tx_bits is None else np.asarray(tx_bits, dtype=np.uint8)
-    return FrameResult(
-        rx_bits=rx[0], active_flags=flags[0],
-        decoder_converged=bool(conv[0]), tx_bits=tx,
-    )
-
-
-def simulate_frame(bits, cfg: SystemConfig, chan: GmacChannel, frame_index: int = 0) -> FrameResult:
-    """Transmit, superimpose, add noise, receive: one full round trip."""
-    x = transmit(bits, cfg)
-    y = add_awgn(superimpose(x), chan, frame_index)
-    return receive(y, cfg, tx_bits=bits)
-
-
-# ---------------------------------------------------------------------------
-# Batched fast path for Monte-Carlo sweeps
-# ---------------------------------------------------------------------------
-
-def transmit_cfsp_batch(bits, cfg: SystemConfig) -> np.ndarray:
-    """Channel-side sum of all users' signals for a (batch, J, k) bit block.
-
-    Equivalent to superimposing the per-user transmitter outputs frame by
-    frame, but computed directly from bit counts so large batches stay
-    cheap.  Returns the noiseless (batch, n) sum sequence.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 3 or bits.shape[1:] != (cfg.j_users, cfg.k):
-        raise ValueError(
-            f"bits must be (batch, {cfg.j_users}, {cfg.k}), got {bits.shape}"
-        )
-    B = bits.shape[0]
-    mk = cfg.m * cfg.k
-    P = cfg.code.gen.parity
-    a = math.sqrt(cfg.p_avg)
-    J = cfg.j_users
-
-    if cfg.mode == "SF":
-        # Message rows of user j inside P: tuple position j of block k.
-        rows = (np.arange(cfg.k)[None, :] * cfg.m + np.arange(J)[:, None])
-        sub = P[rows].astype(np.int64)                      # (J, k, n - mk)
-        par = np.einsum("bjk,jkp->bjp", bits.astype(np.int64), sub) & 1
-        ones = np.zeros((B, cfg.n), dtype=np.int64)
-        ones[:, rows.reshape(-1)] = bits.reshape(B, -1)
-        ones[:, mk:] = par.sum(axis=1)
-        return a * (2.0 * ones - float(J))
-
-    mu1, mu2 = _power_pair(cfg)
-    a_info = math.sqrt(mu1) * a
-    a_par = math.sqrt(mu2) * a
-    rows = (np.arange(J)[:, None] * cfg.k + np.arange(cfg.k)[None, :])
-    sub = P[rows].astype(np.int64)
-    par = np.einsum("bjk,jkp->bjp", bits.astype(np.int64), sub) & 1
-    r = np.zeros((B, cfg.n), dtype=np.float64)
-    r[:, : J * cfg.k] = a_info * (2.0 * bits.reshape(B, -1) - 1.0)
-    r[:, mk:] = a_par * (2.0 * par.sum(axis=1) - float(J))
-    return r

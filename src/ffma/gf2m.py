@@ -1,172 +1,20 @@
-"""GF(2^m) arithmetic with log/antilog tables.
+"""Basis view of GF(2^m).
 
 Elements are stored as plain integers whose binary digits are the
 coefficients of the m-tuple representation: bit i of an element holds the
 coefficient of alpha^i.  With that layout, addition is a single XOR and
 alpha^i for 0 <= i < m is the one-hot integer ``1 << i``.
 
-Default primitive polynomials, one per extension degree m:
-
-    m=2  : x^2 + x + 1                  -> 0b111
-    m=3  : x^3 + x + 1                  -> 0b1011
-    m=4  : x^4 + x + 1                  -> 0b10011
-    m=5  : x^5 + x^2 + 1                -> 0b100101
-    m=6  : x^6 + x + 1                  -> 0b1000011
-    m=7  : x^7 + x^3 + 1                -> 0b10001001
-    m=8  : x^8 + x^4 + x^3 + x^2 + 1    -> 0b100011101
-    m=9  : x^9 + x^4 + 1                -> 0x211
-    m=10 : x^10 + x^3 + 1               -> 0x409
-    m=11 : x^11 + x^2 + 1               -> 0x805
-    m=12 : x^12 + x^6 + x^4 + x + 1     -> 0x1053
-    m=13 : x^13 + x^4 + x^3 + x + 1     -> 0x201B
-    m=14 : x^14 + x^10 + x^6 + x + 1    -> 0x4443
-    m=15 : x^15 + x + 1                 -> 0x8003
-    m=16 : x^16 + x^12 + x^3 + x + 1    -> 0x1100B
-
-Any user-supplied polynomial is verified to be primitive at construction
-(the powers of alpha must enumerate all 2^m - 1 nonzero elements).
-
-Full log/antilog tables are built for m <= 16.  Larger degrees are served
-by :class:`BasisGF2m`, a table-free view that only exposes XOR addition
-and the one-hot basis elements alpha^0 .. alpha^(m-1); that is all the
-orthogonal element-pair machinery ever needs, and it works for m in the
-hundreds.
+Orthogonal element-pair codes never leave the GF(2)-span of the basis
+alpha^0 .. alpha^(m-1), so no multiplication (and hence no reduction
+polynomial) is needed; the view works for m in the hundreds.
 """
 
 from __future__ import annotations
 
-_PRIMITIVE_POLY = {
-    2: 0b111,
-    3: 0b1011,
-    4: 0b10011,
-    5: 0b100101,
-    6: 0b1000011,
-    7: 0b10001001,
-    8: 0b100011101,
-    9: 0x211,
-    10: 0x409,
-    11: 0x805,
-    12: 0x1053,
-    13: 0x201B,
-    14: 0x4443,
-    15: 0x8003,
-    16: 0x1100B,
-}
-
-MAX_TABLE_M = 16
-
-
-class GF2m:
-    """Galois field GF(2^m) with full exp/log tables, 2 <= m <= 16.
-
-    Parameters
-    ----------
-    m : int
-        Extension degree.
-    primitive_poly : int, optional
-        Bitmask of a degree-m primitive polynomial over GF(2) (bit i is
-        the coefficient of x^i).  Defaults to the built-in table above.
-
-    Raises
-    ------
-    ValueError
-        If m is out of range, the polynomial does not have degree m, or
-        the polynomial is not primitive.
-    """
-
-    def __init__(self, m: int, primitive_poly: int | None = None) -> None:
-        if not 2 <= m <= MAX_TABLE_M:
-            raise ValueError(f"m={m} out of range; full-table fields need 2 <= m <= {MAX_TABLE_M}")
-        if primitive_poly is None:
-            primitive_poly = _PRIMITIVE_POLY[m]
-        if primitive_poly.bit_length() != m + 1:
-            raise ValueError(
-                f"polynomial 0b{primitive_poly:b} does not have degree {m}"
-            )
-        self.m = m
-        self.primitive_poly = primitive_poly
-        self.order = 1 << m
-
-        # Powers of alpha = x: multiply by x and reduce mod the polynomial.
-        # alpha is primitive iff this walk visits every nonzero element
-        # exactly once before returning to 1.
-        self.exp_table = [0] * (self.order - 1)
-        self.log_table = [-1] * self.order
-        x = 1
-        for i in range(self.order - 1):
-            if self.log_table[x] >= 0:
-                raise ValueError(
-                    f"0b{primitive_poly:b} is not primitive over GF(2^{m})"
-                )
-            self.exp_table[i] = x
-            self.log_table[x] = i
-            x <<= 1
-            if x & self.order:
-                x ^= primitive_poly
-        if x != 1:
-            raise ValueError(f"0b{primitive_poly:b} is not primitive over GF(2^{m})")
-
-    def add(self, a: int, b: int) -> int:
-        """Field addition: componentwise GF(2) sum, i.e. XOR."""
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        """Field multiplication via the log/antilog tables."""
-        if a == 0 or b == 0:
-            return 0
-        return self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.order - 1)]
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises for zero."""
-        if a == 0:
-            raise ValueError("zero has no multiplicative inverse")
-        return self.exp_table[(self.order - 1 - self.log_table[a]) % (self.order - 1)]
-
-    def power_of_alpha(self, i: int) -> int:
-        """Element alpha^i for 0 <= i < 2^m - 1.
-
-        For i < m this is the one-hot m-tuple with the single 1 at
-        position i.
-        """
-        if not 0 <= i < self.order - 1:
-            raise ValueError(f"exponent {i} out of range [0, {self.order - 2}]")
-        return self.exp_table[i]
-
-    def log(self, a: int) -> int:
-        """Discrete log base alpha of a nonzero element."""
-        if a == 0:
-            raise ValueError("zero has no discrete log")
-        return self.log_table[a]
-
-    def to_tuple(self, e: int) -> tuple[int, ...]:
-        """m-tuple (a_0, ..., a_{m-1}) of an element, a_i = coeff of alpha^i."""
-        if not 0 <= e < self.order:
-            raise ValueError(f"element {e} outside field of order {self.order}")
-        return tuple((e >> i) & 1 for i in range(self.m))
-
-    def from_tuple(self, bits) -> int:
-        """Inverse of :meth:`to_tuple`."""
-        if len(bits) != self.m:
-            raise ValueError(f"expected {self.m}-tuple, got length {len(bits)}")
-        return sum((int(b) & 1) << i for i, b in enumerate(bits))
-
-    def elements(self) -> range:
-        """All 2^m elements, 0 first."""
-        return range(self.order)
-
-    def __repr__(self) -> str:
-        return f"GF2m(m={self.m}, primitive_poly=0b{self.primitive_poly:b})"
-
 
 class BasisGF2m:
-    """Table-free GF(2^m) view for large m (no general multiplication).
-
-    Only XOR addition, the one-hot basis elements alpha^0 .. alpha^(m-1)
-    and the tuple representation are available.  Orthogonal element-pair
-    codes never leave the GF(2)-span of the basis, so this is sufficient
-    for multiple-access use at degrees far beyond table range (e.g.
-    m = 300).
-    """
+    """GF(2^m) restricted to XOR addition, the basis and the tuple view."""
 
     def __init__(self, m: int) -> None:
         if m < 2:
@@ -175,6 +23,7 @@ class BasisGF2m:
         self.order = 1 << m
 
     def add(self, a: int, b: int) -> int:
+        """Field addition: componentwise GF(2) sum, i.e. XOR."""
         return a ^ b
 
     def power_of_alpha(self, i: int) -> int:
@@ -188,26 +37,16 @@ class BasisGF2m:
         return 1 << i
 
     def to_tuple(self, e: int) -> tuple[int, ...]:
+        """m-tuple (a_0, ..., a_{m-1}) of an element, a_i = coeff of alpha^i."""
         if not 0 <= e < self.order:
             raise ValueError(f"element {e} outside field of order 2^{self.m}")
         return tuple((e >> i) & 1 for i in range(self.m))
 
     def from_tuple(self, bits) -> int:
+        """Inverse of :meth:`to_tuple`."""
         if len(bits) != self.m:
             raise ValueError(f"expected {self.m}-tuple, got length {len(bits)}")
         return sum((int(b) & 1) << i for i, b in enumerate(bits))
 
     def __repr__(self) -> str:
         return f"BasisGF2m(m={self.m})"
-
-
-def build_field(m: int, primitive_poly: int | None = None) -> GF2m:
-    """Construct a full-table GF(2^m), 2 <= m <= 16."""
-    return GF2m(m, primitive_poly)
-
-
-def field_for(m: int) -> GF2m | BasisGF2m:
-    """Pick the cheapest field representation that supports degree m."""
-    if m <= MAX_TABLE_M:
-        return GF2m(m)
-    return BasisGF2m(m)

@@ -7,9 +7,8 @@ Provides:
   by GF(2) Gaussian elimination (columns are permuted so the information
   section always occupies the first k coordinates);
 * sum-product belief-propagation decoding in the log-likelihood domain,
-  flooding schedule, early exit on a zero syndrome, optionally batched
-  over many frames at once;
-* the repetition code used by the slotted-ALOHA baseline;
+  flooding schedule, early exit on a zero syndrome, batched over many
+  frames at once;
 * alist text interchange for sparse parity-check matrices.
 
 Bit/LLR conventions: codeword bits are 0/1; decoder inputs are per-bit
@@ -66,14 +65,6 @@ class ParityCheckMatrix:
         for i, row in enumerate(self.row_adj):
             dense[i, row] = 1
         return dense
-
-    def syndrome(self, word) -> np.ndarray:
-        """H * word^T over GF(2); word may be (n,) or (batch, n)."""
-        word = np.asarray(word)
-        ctx = self._decode_context()
-        gathered = word[..., ctx.chk_vidx].astype(np.int64)
-        gathered[..., ~ctx.by_check_mask] = 0
-        return (gathered.sum(axis=-1) & 1).astype(np.uint8)
 
     def column_weights(self) -> np.ndarray:
         return np.array([cl.size for cl in self.col_adj], dtype=np.int64)
@@ -351,31 +342,14 @@ def encode(msg, gen: SystematicGenerator) -> np.ndarray:
     return np.concatenate([msg.astype(np.uint8), parity.astype(np.uint8)], axis=-1)
 
 
-def bp_decode(priors, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np.ndarray, bool]:
-    """Sum-product decoding of one frame.
-
-    Parameters
-    ----------
-    priors : array of length n
-        Per-coordinate probability that the bit is 1.
-    pcm : ParityCheckMatrix
-    max_iter : int
-        Flooding iterations; exits early once all checks are satisfied.
-
-    Returns
-    -------
-    (bits, converged) : hard decisions plus a flag telling whether the
-        syndrome was zero (the decision vector is returned regardless).
-    """
-    bits, conv = bp_decode_batch(np.asarray(priors, dtype=np.float64)[None, :], pcm, max_iter)
-    return bits[0], bool(conv[0])
-
-
 def bp_decode_batch(priors, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sum-product decoding of a (batch, n) block of frames.
 
-    Converged frames are squeezed out of the working set each iteration,
-    so the cost is dominated by the hardest frames in the batch.
+    ``priors`` holds each coordinate's probability that the bit is 1.
+    Returns the (batch, n) hard decisions and a (batch,) flag telling
+    whether each frame's syndrome was zero (its decisions are returned
+    regardless).  Converged frames are squeezed out of the working set
+    each iteration, so the cost is dominated by the hardest frames.
     """
     P1 = np.asarray(priors, dtype=np.float64)
     if P1.ndim != 2 or P1.shape[1] != pcm.n:
@@ -444,32 +418,6 @@ def _checks_satisfied(hard: np.ndarray, ctx: _DecodeContext) -> np.ndarray:
     gathered[:, ~ctx.by_check_mask] = 0
     parity = gathered.sum(axis=2) & 1
     return ~parity.any(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Repetition code (slotted-ALOHA baseline)
-# ---------------------------------------------------------------------------
-
-def repetition_encode(bits, repeat: int) -> np.ndarray:
-    """Repeat each bit ``repeat`` times."""
-    if repeat < 1:
-        raise ValueError(f"repeat factor must be >= 1, got {repeat}")
-    return np.repeat(np.asarray(bits, dtype=np.uint8), repeat)
-
-
-def repetition_soft_decode(llrs, repeat: int) -> np.ndarray:
-    """Equal-gain combining: sum the per-copy LLRs and threshold at zero.
-
-    LLR convention is log(P(1)/P(0)), so a positive sum decides 1; an
-    exact zero resolves to 0.
-    """
-    if repeat < 1:
-        raise ValueError(f"repeat factor must be >= 1, got {repeat}")
-    llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.size % repeat:
-        raise ValueError(f"LLR length {llrs.size} not a multiple of {repeat}")
-    sums = llrs.reshape(-1, repeat).sum(axis=1)
-    return (sums > 0).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

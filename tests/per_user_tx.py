@@ -1,0 +1,97 @@
+"""Per-user reference transmitters.
+
+The simulator only ever computes the channel-side sum of all users'
+signals for a batch of frames (``transmit_cfsp_batch``,
+``aloha_cfsp_batch``).  These functions build each user's signal on its
+own, straight from the mode definitions, so the tests can compare the
+batched sum against the frame-by-frame sum of independent transmitters.
+"""
+
+import math
+
+import numpy as np
+
+from ffma.ffma_system import SystemConfig, pa_power_allocation
+from ffma.linear_code import encode
+
+
+def _check_bits(bits, cfg) -> np.ndarray:
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.shape != (cfg.j_users, cfg.k):
+        raise ValueError(f"bits must be ({cfg.j_users}, {cfg.k}), got {bits.shape}")
+    return bits
+
+
+def sf_transmit(bits, cfg: SystemConfig) -> np.ndarray:
+    """Sparse-form transmitter: (J, n) antipodal signal matrix.
+
+    User j's element sequence occupies tuple position j-1 of each of the
+    k message blocks; the flattened m*k-bit message is encoded by the
+    shared systematic code and mapped to +-sqrt(p_avg).
+    """
+    if cfg.mode != "SF":
+        raise ValueError(f"sf_transmit needs mode SF, got {cfg.mode}")
+    bits = _check_bits(bits, cfg)
+    msgs = np.zeros((cfg.j_users, cfg.m * cfg.k), dtype=np.uint8)
+    block = np.arange(cfg.k) * cfg.m
+    for j in range(cfg.j_users):
+        msgs[j, block + j] = bits[j]
+    codewords = encode(msgs, cfg.code.gen)
+    return math.sqrt(cfg.p_avg) * (2.0 * codewords - 1.0)
+
+
+def _diag_signals(bits: np.ndarray, cfg: SystemConfig, a_info: float, a_parity: float) -> np.ndarray:
+    """User j sends its own slot j and the parity of its diagonal-form message."""
+    x = np.zeros((cfg.j_users, cfg.n), dtype=np.float64)
+    mk = cfg.m * cfg.k
+    P = cfg.code.gen.parity
+    for j in range(cfg.j_users):
+        sl = slice(j * cfg.k, (j + 1) * cfg.k)
+        parity = (bits[j].astype(np.int64) @ P[sl]) & 1
+        x[j, sl] = a_info * (2.0 * bits[j] - 1.0)
+        x[j, mk:] = a_parity * (2.0 * parity - 1.0)
+    return x
+
+
+def df_transmit(bits, cfg: SystemConfig) -> np.ndarray:
+    """Diagonal-form transmitter: energy only on own slot + parity segment.
+
+    Each row of the result is a full-length signal whose silent
+    coordinates carry amplitude 0, i.e. the position-mapped shortened
+    codeword (b_j, parity_j) of length n - (m-1)k.
+    """
+    if cfg.mode not in ("DF", "PA"):
+        raise ValueError(f"df_transmit needs mode DF or PA, got {cfg.mode}")
+    bits = _check_bits(bits, cfg)
+    a = math.sqrt(cfg.p_avg)
+    return _diag_signals(bits, cfg, a, a)
+
+
+def pa_transmit(bits, cfg: SystemConfig) -> np.ndarray:
+    """Polarization-adjusted transmitter: DF layout, reallocated power."""
+    if cfg.mode != "PA":
+        raise ValueError(f"pa_transmit needs mode PA, got {cfg.mode}")
+    bits = _check_bits(bits, cfg)
+    mu1, mu2 = pa_power_allocation(cfg)
+    return _diag_signals(
+        bits, cfg, math.sqrt(mu1 * cfg.p_avg), math.sqrt(mu2 * cfg.p_avg)
+    )
+
+
+def transmit(bits, cfg: SystemConfig) -> np.ndarray:
+    """Mode dispatch to the matching transmitter."""
+    if cfg.mode == "SF":
+        return sf_transmit(bits, cfg)
+    if cfg.mode == "DF":
+        return df_transmit(bits, cfg)
+    return pa_transmit(bits, cfg)
+
+
+def aloha_transmit(bits, cfg, p_avg: float = 1.0) -> np.ndarray:
+    """Per-user ALOHA signals, (J, n); user j is nonzero only in slot j."""
+    bits = _check_bits(bits, cfg)
+    x = np.zeros((cfg.j_users, cfg.n), dtype=np.float64)
+    for j in range(cfg.j_users):
+        sl = slice(j * cfg.slot_len, (j + 1) * cfg.slot_len)
+        x[j, sl] = math.sqrt(p_avg) * (2.0 * np.repeat(bits[j], cfg.repeat) - 1.0)
+    return x

@@ -15,7 +15,7 @@ from ffma.ep_code import (
     ffsp,
     orthogonal_ep_set,
 )
-from ffma.gf2m import BasisGF2m, build_field
+from ffma.gf2m import BasisGF2m
 
 
 def test_element_pair_must_differ():
@@ -24,7 +24,7 @@ def test_element_pair_must_differ():
 
 
 def test_orthogonal_set_structure():
-    f = build_field(3)
+    f = BasisGF2m(3)
     eps = orthogonal_ep_set(f, 3)
     assert [(p.e0, f.to_tuple(p.e1)) for p in eps.pairs] == [
         (0, (1, 0, 0)),
@@ -33,12 +33,12 @@ def test_orthogonal_set_structure():
     ]
     with pytest.raises(ValueError):
         orthogonal_ep_set(f, 4)
-    single = orthogonal_ep_set(build_field(2), 1)
+    single = orthogonal_ep_set(BasisGF2m(2), 1)
     assert single.pairs[0] == ElementPair(0, 1)
 
 
 def test_orthogonal_supports_disjoint():
-    f = build_field(8)
+    f = BasisGF2m(8)
     eps = orthogonal_ep_set(f, 8)
     for a, b in itertools.combinations(eps.pairs, 2):
         assert a.e1 & b.e1 == 0
@@ -54,7 +54,7 @@ def test_f_b2q_switching():
 
 
 def test_encode_user_sequence_one_hot_layout():
-    f = build_field(3)
+    f = BasisGF2m(3)
     pair = orthogonal_ep_set(f, 3).pairs[1]  # user j=2
     seq = encode_user_sequence((1, 0, 1), pair)
     assert [f.to_tuple(e) for e in seq] == [(0, 1, 0), (0, 0, 0), (0, 1, 0)]
@@ -63,7 +63,7 @@ def test_encode_user_sequence_one_hot_layout():
 
 
 def test_ffsp_juxtaposes_orthogonal_bits():
-    f = build_field(3)
+    f = BasisGF2m(3)
     eps = orthogonal_ep_set(f, 3)
     block = [f_b2q(b, p) for b, p in zip((1, 0, 1), eps.pairs)]
     assert f.to_tuple(ffsp(block)) == (1, 0, 1)
@@ -73,7 +73,7 @@ def test_ffsp_juxtaposes_orthogonal_bits():
 
 def test_ffsp_linear():
     rng = np.random.default_rng(3)
-    f = build_field(6)
+    f = BasisGF2m(6)
     for _ in range(200):
         u = rng.integers(0, f.order, size=5)
         v = rng.integers(0, f.order, size=5)
@@ -93,7 +93,7 @@ def test_f_q2b_components():
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_uspm_round_trip_exhaustive(m):
-    f = build_field(m)
+    f = BasisGF2m(m)
     eps = orthogonal_ep_set(f, m)
     assert check_uspm(eps)
     for bits in itertools.product((0, 1), repeat=m):
@@ -102,14 +102,12 @@ def test_uspm_round_trip_exhaustive(m):
 
 
 def test_uspm_detects_duplicated_pair():
-    f = build_field(3)
-    dup = EpSet(pairs=(ElementPair(0, 1), ElementPair(0, 1)), field=f)
+    dup = EpSet(pairs=(ElementPair(0, 1), ElementPair(0, 1)))
     assert not check_uspm(dup)
 
 
 def test_uspm_single_pair_trivially_unique():
-    f = build_field(2)
-    assert check_uspm(EpSet(pairs=(ElementPair(2, 3),), field=f))
+    assert check_uspm(EpSet(pairs=(ElementPair(2, 3),)))
 
 
 def test_uspm_user_limit():
@@ -127,7 +125,7 @@ def test_uspm_on_basis_field_large_m():
 
 
 def test_element_bit_flattening_round_trip():
-    f = build_field(4)
+    f = BasisGF2m(4)
     rng = np.random.default_rng(9)
     seq = [int(e) for e in rng.integers(0, 16, size=6)]
     bits = elements_to_bits(seq, 4)

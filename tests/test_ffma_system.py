@@ -5,21 +5,14 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from ffma.channel import GmacChannel, add_awgn, superimpose
+from per_user_tx import df_transmit, pa_transmit, sf_transmit, transmit
+
+from ffma.experiment import ExperimentSpec, per_user_frame_energy
 from ffma.ffma_system import (
-    SystemConfig,
     cfsp_posterior,
-    df_transmit,
     make_system,
     pa_power_allocation,
-    pa_transmit,
-    per_user_energy,
-    receive,
     receive_batch,
-    sf_transmit,
-    simulate_frame,
-    sum_pattern_model,
-    transmit,
     transmit_cfsp_batch,
 )
 from ffma.linear_code import LinearCode, encode
@@ -54,28 +47,8 @@ def posterior_oracle(y, j_users, amplitude, n0):
 
 
 # ---------------------------------------------------------------------------
-# Sum-pattern model and posteriors
+# Posteriors
 # ---------------------------------------------------------------------------
-
-def test_sum_pattern_model_j2():
-    model = sum_pattern_model(2)
-    assert (model.omega_r == [-2, 0, 2]).all()
-    assert (model.omega_v == [0, 1, 0]).all()
-    assert np.allclose(model.probs, [0.25, 0.5, 0.25])
-
-
-def test_sum_pattern_model_j1_and_prob_sum():
-    model = sum_pattern_model(1)
-    assert (model.omega_r == [-1, 1]).all()
-    assert (model.omega_v == [0, 1]).all()
-    assert np.allclose(model.probs, [0.5, 0.5])
-    for j in range(1, 40):
-        m = sum_pattern_model(j)
-        assert abs(m.probs.sum() - 1.0) < 1e-12
-        assert (m.omega_v == np.arange(j + 1) % 2).all()
-    with pytest.raises(ValueError):
-        sum_pattern_model(0)
-
 
 def test_posterior_single_user_saturates():
     p0, p1 = cfsp_posterior(50.0, 1, 1.0, 1.0)
@@ -180,9 +153,10 @@ def test_pa_energy_conservation(code96):
         cfg = make_cfg(code96, 8, 4, 5, "PA", mu_pas=mu, p_avg=1.7)
         bits = rng.integers(0, 2, size=(5, 4), dtype=np.uint8)
         x = pa_transmit(bits, cfg)
+        spec = ExperimentSpec(system="PA", n=96, k=4, m=8, mu_pas=mu, p_avg=1.7)
         for j in range(5):
             assert abs((x[j] ** 2).sum() - cfg.n * cfg.p_avg) < 1e-9
-        assert abs(per_user_energy(cfg) - cfg.n * cfg.p_avg) < 1e-12
+            assert abs((x[j] ** 2).sum() - per_user_frame_energy(spec, 5)) < 1e-9
 
 
 def test_pa_amplitude_ratio_and_degenerate_case(code96):
@@ -223,7 +197,7 @@ def test_sf_two_user_ffsp_information_section(code16):
     bits[0, 0] = 1
     bits[1, 0] = 1
     x = sf_transmit(bits, cfg)
-    n_plus = (superimpose(x) + 2) / 2  # number of users sending +1
+    n_plus = (x.sum(axis=0) + 2) / 2  # number of users sending +1
     w = np.zeros(8, dtype=np.uint8)
     w[0] = 1  # user 1, block 0, tuple position 0
     w[1] = 1  # user 2, block 0, tuple position 1
@@ -299,23 +273,19 @@ def test_noiseless_round_trip(code96, mode, j_users):
         mu_pas=8.0 if mode == "PA" else 1.0, n0=1e-4,
     )
     rng = np.random.default_rng(100 + j_users)
-    for _ in range(25):
-        bits = rng.integers(0, 2, size=(j_users, 4), dtype=np.uint8)
-        y = superimpose(transmit(bits, cfg))
-        fr = receive(y, cfg, tx_bits=bits)
-        assert fr.bit_errors() == 0
-        assert fr.decoder_converged
-        assert (fr.active_flags == bits.any(axis=1)).all()
+    bits = rng.integers(0, 2, size=(25, j_users, 4), dtype=np.uint8)
+    rx, flags, conv = receive_batch(transmit_cfsp_batch(bits, cfg), cfg)
+    assert (rx == bits).all()
+    assert conv.all()
+    assert (flags == bits.any(axis=2)).all()
 
 
 def test_inactive_user_flag(code96):
     cfg = make_cfg(code96, 8, 4, 3, "SF", n0=1e-4)
-    bits = np.array([[1, 0, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.uint8)
-    fr = receive(superimpose(transmit(bits, cfg)), cfg, tx_bits=bits)
-    assert list(fr.active_flags) == [True, False, True]
-    assert list(fr.per_user_errors()) == [0, 0, 0]
-    with pytest.raises(ValueError):
-        receive(superimpose(transmit(bits, cfg)), cfg).per_user_errors()
+    bits = np.array([[[1, 0, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]]], dtype=np.uint8)
+    rx, flags, _conv = receive_batch(transmit_cfsp_batch(bits, cfg), cfg)
+    assert list(flags[0]) == [True, False, True]
+    assert list((rx != bits).sum(axis=2)[0]) == [0, 0, 0]
 
 
 def test_noiseless_hard_map_equals_codeword_xor(code16):
@@ -325,7 +295,7 @@ def test_noiseless_hard_map_equals_codeword_xor(code16):
         for flat in itertools.product((0, 1), repeat=j_users * 2):
             bits = np.array(flat, dtype=np.uint8).reshape(j_users, 2)
             x = transmit(bits, cfg)
-            r = superimpose(x)
+            r = x.sum(axis=0)
             _, p1 = cfsp_posterior(r, j_users, 1.0, cfg.n0)
             v_hat = (p1 > 0.5).astype(np.uint8)
             cw_xor = np.zeros(16, dtype=np.uint8)
@@ -335,20 +305,19 @@ def test_noiseless_hard_map_equals_codeword_xor(code16):
 
 
 def test_receive_batch_matches_single(code96):
+    # Frames are decoded independently: a batch gives what its frames give
+    # as batches of one.
     cfg = make_cfg(code96, 8, 4, 4, "DF", n0=0.4)
     rng = np.random.default_rng(11)
-    chan = GmacChannel(n0=0.4, seed=77)
     bits = rng.integers(0, 2, size=(6, 4, 4), dtype=np.uint8)
-    ys = np.stack([
-        add_awgn(superimpose(transmit(bits[i], cfg)), chan, frame_index=i)
-        for i in range(6)
-    ])
+    r = transmit_cfsp_batch(bits, cfg)
+    ys = r + rng.normal(0.0, math.sqrt(cfg.n0 / 2.0), size=r.shape)
     rx_b, flags_b, conv_b = receive_batch(ys, cfg)
     for i in range(6):
-        fr = receive(ys[i], cfg)
-        assert (fr.rx_bits == rx_b[i]).all()
-        assert (fr.active_flags == flags_b[i]).all()
-        assert fr.decoder_converged == conv_b[i]
+        rx, flags, conv = receive_batch(ys[i : i + 1], cfg)
+        assert (rx[0] == rx_b[i]).all()
+        assert (flags[0] == flags_b[i]).all()
+        assert conv[0] == conv_b[i]
 
 
 @pytest.mark.parametrize("mode", ["SF", "DF", "PA"])
@@ -358,24 +327,15 @@ def test_cfsp_batch_matches_per_user_transmit(code96, mode):
     bits = rng.integers(0, 2, size=(7, 5, 4), dtype=np.uint8)
     r_fast = transmit_cfsp_batch(bits, cfg)
     for i in range(7):
-        assert np.allclose(r_fast[i], superimpose(transmit(bits[i], cfg)))
-
-
-def test_simulate_frame_round_trip(code96):
-    cfg = make_cfg(code96, 8, 4, 8, "SF", n0=1e-3)
-    chan = GmacChannel(n0=cfg.n0, seed=5)
-    rng = np.random.default_rng(3)
-    bits = rng.integers(0, 2, size=(8, 4), dtype=np.uint8)
-    fr = simulate_frame(bits, cfg, chan, frame_index=0)
-    assert fr.bit_errors() == 0
-    fr2 = simulate_frame(bits, cfg, chan, frame_index=0)
-    assert (fr.rx_bits == fr2.rx_bits).all()
+        assert np.allclose(r_fast[i], transmit(bits[i], cfg).sum(axis=0))
 
 
 def test_receive_rejects_wrong_length(code96):
     cfg = make_cfg(code96, 8, 4, 2, "SF")
     with pytest.raises(ValueError):
-        receive(np.zeros(95), cfg)
+        receive_batch(np.zeros((1, 95)), cfg)
+    with pytest.raises(ValueError):
+        receive_batch(np.zeros(96), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,104 +1,45 @@
-import itertools
-
 import pytest
 
-from ffma.gf2m import MAX_TABLE_M, BasisGF2m, GF2m, build_field, field_for
-
-
-def test_gf4_tables_match_hand_computation():
-    # x^2 + x + 1: alpha^0=(1,0), alpha^1=(0,1), alpha^2=(1,1)
-    f = build_field(2, 0b111)
-    assert f.exp_table == [1, 2, 3]
-    assert f.to_tuple(f.power_of_alpha(0)) == (1, 0)
-    assert f.to_tuple(f.power_of_alpha(1)) == (0, 1)
-    assert f.to_tuple(f.power_of_alpha(2)) == (1, 1)
-
-
-def test_non_primitive_poly_rejected():
-    # x^2 + 1 = (x+1)^2 is reducible, alpha cannot generate GF(4)*
-    with pytest.raises(ValueError):
-        build_field(2, 0b101)
-
-
-def test_wrong_degree_poly_rejected():
-    with pytest.raises(ValueError):
-        build_field(3, 0b111)
+from ffma.gf2m import BasisGF2m
 
 
 @pytest.mark.parametrize("m", [2, 5, 16])
 def test_m_range(m):
-    assert build_field(m).order == 1 << m
-    for bad in (1, 17):
+    assert BasisGF2m(m).order == 1 << m
+    for bad in (0, 1):
         with pytest.raises(ValueError):
-            build_field(bad)
+            BasisGF2m(bad)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_characteristic_two(m):
-    f = build_field(m)
-    for e in f.elements():
+    f = BasisGF2m(m)
+    for e in range(f.order):
         assert f.add(e, e) == 0
         assert f.add(e, 0) == e
 
 
-def test_gf4_add_and_mul_examples():
-    f = build_field(2)
-    a1, a2 = f.power_of_alpha(1), f.power_of_alpha(2)
-    assert f.add(a1, a2) == f.power_of_alpha(0)
-    assert f.mul(a1, a1) == a2
-    for e in f.elements():
-        assert f.mul(e, f.power_of_alpha(0)) == e
-        assert f.mul(0, e) == 0
-
-
 def test_add_is_xor_of_tuples():
-    f = build_field(3)
+    f = BasisGF2m(3)
     assert f.add(f.from_tuple((1, 0, 1)), f.from_tuple((0, 0, 1))) == f.from_tuple((1, 0, 0))
 
 
 def test_power_of_alpha_one_hot_and_range():
-    f = build_field(3)
+    f = BasisGF2m(3)
     assert f.to_tuple(f.power_of_alpha(0)) == (1, 0, 0)
     assert f.to_tuple(f.power_of_alpha(2)) == (0, 0, 1)
-    f2 = build_field(2)
+    f2 = BasisGF2m(2)
     with pytest.raises(ValueError):
-        f2.power_of_alpha(3)
+        f2.power_of_alpha(2)
     with pytest.raises(ValueError):
         f2.power_of_alpha(-1)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_field_axioms_exhaustive(m):
-    f = build_field(m)
-    els = list(f.elements())
-    for a, b in itertools.product(els, repeat=2):
-        assert f.add(a, b) == f.add(b, a)
-        assert f.mul(a, b) == f.mul(b, a)
-        assert f.add(a, b) in els
-        assert f.mul(a, b) in els
-    for a, b, c in itertools.product(els, repeat=3):
-        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    for a in els[1:]:
-        assert f.mul(a, f.inv(a)) == 1
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 8])
-def test_nonzero_order_divides_group(m):
-    f = build_field(m)
-    for e in range(1, f.order):
-        acc = 1
-        for _ in range(f.order - 1):
-            acc = f.mul(acc, e)
-        assert acc == f.power_of_alpha(0)
-
-
 @pytest.mark.parametrize("m", [2, 3, 7])
 def test_tuple_round_trip(m):
-    f = build_field(m)
+    f = BasisGF2m(m)
     seen = set()
-    for e in f.elements():
+    for e in range(f.order):
         t = f.to_tuple(e)
         assert f.from_tuple(t) == e
         seen.add(t)
@@ -116,9 +57,3 @@ def test_basis_field_large_m():
     assert f.from_tuple(f.to_tuple(a ^ b)) == a ^ b
     with pytest.raises(ValueError):
         f.power_of_alpha(300)
-
-
-def test_field_for_dispatch():
-    assert isinstance(field_for(8), GF2m)
-    assert isinstance(field_for(MAX_TABLE_M + 1), BasisGF2m)
-    assert isinstance(field_for(300), BasisGF2m)

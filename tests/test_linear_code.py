@@ -6,13 +6,10 @@ import pytest
 from ffma.linear_code import (
     LinearCode,
     ParityCheckMatrix,
-    bp_decode,
     bp_decode_batch,
     encode,
     ldpc_construct,
     load_alist,
-    repetition_encode,
-    repetition_soft_decode,
     save_alist,
 )
 
@@ -106,16 +103,14 @@ def test_encode_length_mismatch(toy_code):
 def test_bp_noiseless_is_identity(toy_code):
     pcm, gen = toy_code
     _, cws = all_codewords(gen)
-    for cw in cws[:: 7]:
-        p1 = cw.astype(np.float64)
-        dec, conv = bp_decode(p1, pcm)
-        assert conv and (dec == cw).all()
+    dec, conv = bp_decode_batch(cws[::7].astype(np.float64), pcm)
+    assert conv.all() and (dec == cws[::7]).all()
 
 
 def test_bp_uninformative_priors_do_not_converge(toy_code):
     pcm, _ = toy_code
-    dec, conv = bp_decode(np.full(12, 0.5), pcm, max_iter=30)
-    assert not conv
+    dec, conv = bp_decode_batch(np.full((1, 12), 0.5), pcm, max_iter=30)
+    assert not conv[0]
     assert not dec.any()  # zero LLRs resolve to bit 0
 
 
@@ -129,7 +124,8 @@ def test_bp_corrects_single_flip_matches_nearest_codeword(toy_code):
     for flip in range(12):
         p1 = np.where(cw == 1, 0.99, 0.01)
         p1[flip] = 1.0 - p1[flip]
-        dec, conv = bp_decode(p1, pcm)
+        dec, conv = bp_decode_batch(p1[None, :], pcm)
+        dec, conv = dec[0], conv[0]
         # independent oracle: nearest codeword in Hamming distance
         hard = (p1 > 0.5).astype(np.uint8)
         nearest = cws[np.argmin((cws != hard).sum(axis=1))]
@@ -138,6 +134,8 @@ def test_bp_corrects_single_flip_matches_nearest_codeword(toy_code):
 
 
 def test_bp_batch_matches_single(toy_code):
+    # Frames are decoded independently: a batch gives what its frames give
+    # as batches of one.
     pcm, gen = toy_code
     rng = np.random.default_rng(8)
     msgs = rng.integers(0, 2, size=(16, 6), dtype=np.uint8)
@@ -145,20 +143,9 @@ def test_bp_batch_matches_single(toy_code):
     noisy = np.clip(np.where(cws == 1, 0.9, 0.1) + rng.normal(0, 0.05, cws.shape), 0.01, 0.99)
     batch_bits, batch_conv = bp_decode_batch(noisy, pcm, max_iter=20)
     for i in range(16):
-        bits, conv = bp_decode(noisy[i], pcm, max_iter=20)
-        assert (bits == batch_bits[i]).all()
-        assert conv == batch_conv[i]
-
-
-def test_repetition_encode_decode():
-    assert list(repetition_encode([1, 0], 3)) == [1, 1, 1, 0, 0, 0]
-    assert list(repetition_soft_decode([+2.0, +2.0, -1.0], 3)) == [1]
-    assert list(repetition_soft_decode([+2.0, -1.0, -1.0], 3)) == [0]
-    assert list(repetition_soft_decode([+1.0, -1.0], 2)) == [0]  # tie -> 0
-    with pytest.raises(ValueError):
-        repetition_soft_decode([1.0, 2.0, 3.0], 2)
-    with pytest.raises(ValueError):
-        repetition_encode([1], 0)
+        bits, conv = bp_decode_batch(noisy[i : i + 1], pcm, max_iter=20)
+        assert (bits[0] == batch_bits[i]).all()
+        assert conv[0] == batch_conv[i]
 
 
 def test_alist_round_trip(tmp_path, toy_code):

@@ -128,6 +128,16 @@ def test_aloha_experiment_runs(tmp_path):
         run_experiment(dataclasses.replace(spec, j_list=(7,)))  # 7 does not divide 96
 
 
+def test_pa_experiment_runs_when_jk_does_not_divide_n(tmp_path):
+    # J*k = 28 does not divide n = 96; only ALOHA's repetition needs that.
+    spec = tiny_spec(
+        system="PA", j_list=(7,), mu_pas=2.0, snr_grid=(8.0,),
+        output=str(tmp_path / "pa.csv"),
+    )
+    (point,) = run_experiment(spec)
+    assert point.j_users == 7 and point.frames >= spec.min_frames
+
+
 def test_emit_plot_data(tmp_path):
     out = tmp_path / "r.csv"
     spec = tiny_spec(output=str(out), snr_grid=(2.0, 4.0, 6.0), j_list=(2,))
