@@ -6,7 +6,6 @@ from .ep_code import (
     ElementPair,
     EpSet,
     check_uspm,
-    encode_user_sequence,
     f_b2q,
     f_q2b,
     ffsp,

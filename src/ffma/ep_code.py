@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
-
 MAX_USPM_USERS = 20
 
 
@@ -59,11 +57,6 @@ def f_b2q(bit: int, pair: ElementPair) -> int:
     return pair.e1 if bit else pair.e0
 
 
-def encode_user_sequence(bits, pair: ElementPair) -> list[int]:
-    """Map a bit sequence elementwise through the user's pair."""
-    return [f_b2q(int(b), pair) for b in bits]
-
-
 def ffsp(block) -> int:
     """Finite-field sum pattern of one element per user (XOR of all)."""
     return reduce(lambda a, b: a ^ b, (int(u) for u in block), 0)
@@ -99,27 +92,3 @@ def check_uspm(eps: EpSet, j_users: int | None = None) -> bool:
         if len(set(sums)) != len(sums):
             return False
     return True
-
-
-def elements_to_bits(seq, m: int) -> np.ndarray:
-    """Flatten K field elements into K*m bits (element k -> bits k*m..k*m+m-1)."""
-    out = np.zeros(len(seq) * m, dtype=np.uint8)
-    for k, e in enumerate(seq):
-        e = int(e)
-        for i in range(m):
-            out[k * m + i] = (e >> i) & 1
-    return out
-
-
-def bits_to_elements(bits, m: int) -> list[int]:
-    """Inverse of :func:`elements_to_bits`."""
-    bits = np.asarray(bits)
-    if bits.size % m:
-        raise ValueError(f"bit length {bits.size} not a multiple of m={m}")
-    out = []
-    for k in range(bits.size // m):
-        e = 0
-        for i in range(m):
-            e |= int(bits[k * m + i]) << i
-        out.append(e)
-    return out

@@ -87,6 +87,8 @@ class ExperimentSpec:
             raise ValueError("max_frames must be >= min_frames")
         if self.batch_frames < 1 or self.workers < 1:
             raise ValueError("batch_frames and workers must be >= 1")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         if self.p_avg <= 0:
             raise ValueError("p_avg must be positive")
 

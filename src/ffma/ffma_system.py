@@ -16,11 +16,11 @@ frames at once:
   total-power constraint.
 
 The receiver converts the superposed channel output into per-coordinate
-posteriors of the finite-field sum-pattern codeword, runs one
-belief-propagation decode, and splits the recovered message back into
-per-user bits; a user decoding to all zeros is flagged inactive.  A
-message coordinate carries one plane, so its posterior is that of a
-single user's bit (the other users send known zero elements); a parity
+LLRs log P(0)/P(1) of the finite-field sum-pattern codeword, hands them
+to one belief-propagation decode, and splits the recovered message back
+into per-user bits; a user decoding to all zeros is flagged inactive.  A
+message coordinate carries one plane, so its LLR is that of a single
+user's bit (the other users send known zero elements); a parity
 coordinate mixes all J users' bits and gets the binomial Gaussian
 mixture of ``cfsp_posterior``.
 """
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .linear_code import LinearCode, bp_decode_batch
 
@@ -72,6 +72,8 @@ class SystemConfig:
             raise ValueError("p_avg must be positive")
         if self.n0 <= 0:
             raise ValueError("n0 must be positive")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 
 
 def make_system(
@@ -145,39 +147,75 @@ def transmit_cfsp_batch(bits, cfg: SystemConfig) -> np.ndarray:
     if cfg.mode == "SF":
         # Message rows of user j inside P: tuple position j of block k.
         rows = (np.arange(cfg.k)[None, :] * cfg.m + np.arange(J)[:, None])
-        sub = P[rows].astype(np.int64)                      # (J, k, n - mk)
-        par = np.einsum("bjk,jkp->bjp", bits.astype(np.int64), sub) & 1
         ones = np.zeros((B, cfg.n), dtype=np.int64)
         ones[:, rows.reshape(-1)] = bits.reshape(B, -1)
-        ones[:, mk:] = par.sum(axis=1)
+        ones[:, mk:] = _parity_ones(bits, P[rows])
         return a * (2.0 * ones - float(J))
 
     mu1, mu2 = _power_pair(cfg)
     a_info = math.sqrt(mu1) * a
     a_par = math.sqrt(mu2) * a
     rows = (np.arange(J)[:, None] * cfg.k + np.arange(cfg.k)[None, :])
-    sub = P[rows].astype(np.int64)
-    par = np.einsum("bjk,jkp->bjp", bits.astype(np.int64), sub) & 1
     r = np.zeros((B, cfg.n), dtype=np.float64)
     r[:, : J * cfg.k] = a_info * (2.0 * bits.reshape(B, -1) - 1.0)
-    r[:, mk:] = a_par * (2.0 * par.sum(axis=1) - float(J))
+    r[:, mk:] = a_par * (2.0 * _parity_ones(bits, P[rows]) - float(J))
     return r
+
+
+def _parity_ones(bits: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """(batch, n - mk) count of users whose own parity bit is 1.
+
+    ``sub`` holds each user's (k, n - mk) rows of P.  The per-user
+    products are integer counts <= k, exact in float32, so one batched
+    float matmul over users replaces an integer contraction; the counts
+    then fit the narrowest unsigned type that holds k.
+    """
+    k = bits.shape[2]
+    counts = np.matmul(bits.transpose(1, 0, 2).astype(np.float32), sub.astype(np.float32))
+    return (counts.astype(np.min_scalar_type(k)) & 1).sum(axis=0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Posterior detection
 # ---------------------------------------------------------------------------
 
+# 2q/(1 - q) < 1e-16 exactly when q < exp(-_TAIL); see cfsp_posterior.
+_TAIL = math.log(2e16 + 1.0)
+
+
+@lru_cache(maxsize=None)
+def _log_comb(j_users: int) -> np.ndarray:
+    """log C(J, i) for i = 0..J."""
+    return np.array([math.log(math.comb(j_users, i)) for i in range(j_users + 1)])
+
+
 def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
-    """Posterior bit probabilities of the superposed sum's parity.
+    """LLR log P(even)/P(odd) of the superposed sum's parity.
 
     The channel sum of J independent equiprobable antipodal symbols takes
-    value amplitude*(2*iota - J) with binomial weight C(J, iota)/2^J, and
-    the finite-field sum is iota mod 2.  Given an observation y with
-    noise variance n0/2 this evaluates the two-class Gaussian-mixture
-    posterior (p0, p1), computed in the log domain.
+    value a*(2i - J) with binomial weight C(J, i)/2^J, and the
+    finite-field sum is i mod 2.  Given an observation y with noise
+    variance n0/2, level i has log-likelihood
 
-    Accepts scalar or array y; returns matching scalars or arrays.
+        ll_i = log C(J, i) - (y - a*(2i - J))**2 / n0,
+
+    and the LLR is the log-sum-exp of the even levels minus that of the
+    odd ones.  ll_i is concave in i: its first difference
+
+        d_i = log((J - i)/(i + 1)) + (4a/n0) * (y - a*(2i + 1 - J))
+
+    falls by at least kappa = 8a^2/n0 per step.  Only the levels within
+    W of the argmax i* (the number of i < J with d_i > 0, found by
+    bisection) are summed, with W the least integer such that
+    (2W - 1) * kappa > _TAIL = log(2e16 + 1).  Outside the window each
+    term is at most q = exp(-(2W - 1) kappa) times the term two levels
+    nearer i*, and the factor compounds, so on each side the omitted
+    terms of a parity class sum to at most q/(1 - q) times that class's
+    last kept term.  Hence the omitted mass of each class, relative to
+    the class's in-window sum, is at most 2q/(1 - q) < 1e-16.  W is
+    clipped to J, so at low SNR the window is the whole mixture.
+
+    Accepts scalar or array y; returns a float or an array of y's shape.
     """
     if amplitude <= 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
@@ -185,24 +223,61 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
         raise ValueError(f"n0 must be positive, got {n0}")
     if j_users < 1:
         raise ValueError(f"j_users must be >= 1, got {j_users}")
+    J, a = int(j_users), float(amplitude)
     y_arr = np.asarray(y, dtype=np.float64)
-    iota = np.arange(j_users + 1)
-    logw = np.array(
-        [math.log(math.comb(j_users, int(i))) for i in iota]
-    ) - j_users * math.log(2.0)
-    centers = amplitude * (2.0 * iota - j_users)
-    pad = (-1,) + (1,) * y_arr.ndim
-    ll = logw.reshape(pad) - (y_arr[None, ...] - centers.reshape(pad)) ** 2 / n0
-    log_all = logsumexp(ll, axis=0)
-    p0 = np.exp(logsumexp(ll[0::2], axis=0) - log_all)
-    p1 = np.exp(logsumexp(ll[1::2], axis=0) - log_all)
-    if np.isscalar(y) or (isinstance(y, np.ndarray) and y.ndim == 0):
-        return float(p0), float(p1)
-    return p0, p1
+    flat = y_arr.reshape(-1)
+    log_comb = _log_comb(J)
+    scale = 4.0 * a / n0
+    kappa = 2.0 * a * scale
+    half = min(J, math.floor((_TAIL / kappa + 1.0) / 2.0) + 1)
+    width = min(2 * half + 1, J + 1)
+
+    # Row r of the window holds level start + t[r], even t first, so the
+    # first n_even rows are one parity class and the rest the other.
+    # With u = y - a*(2*start - J) that level's log-likelihood is
+    # log C - u^2/n0 + scale*u*t - (4a^2/n0)*t^2; the u^2/n0 term is the
+    # same for every level of a sample, cancels in the LLR and is dropped.
+    t = np.concatenate([np.arange(0, width, 2), np.arange(1, width, 2)])
+    n_even = (width + 1) // 2
+    table = (log_comb[t[:, None] + np.arange(J + 2 - width)]
+             - (a * scale) * t[:, None].astype(np.float64) ** 2)
+    if width <= J:
+        # Bisection for i* on d_i = step_i + scale*y; settled entries stay
+        # put because d_J = -inf.
+        step = (np.append(np.diff(log_comb), -np.inf)
+                - (a * scale) * (2.0 * np.arange(J + 1) + 1.0 - J))
+        scaled_y = scale * flat
+        lo = np.zeros(flat.shape, dtype=np.intp)
+        hi = np.full(flat.shape, J, dtype=np.intp)
+        for _ in range(J.bit_length()):
+            mid = (lo + hi) >> 1
+            up = step[mid] + scaled_y > 0
+            lo = np.where(up, mid + 1, lo)
+            hi = np.where(up, hi, mid)
+        start = np.clip(lo - half, 0, J + 1 - width)
+        base = table[:, start]
+    else:
+        start, base = 0, table    # the whole mixture, one column of table
+
+    ll = np.multiply.outer(t.astype(np.float64), scale * (flat - a * (2 * start - J)))
+    ll += base
+    # Each class is shifted by its own maximum, so neither sum underflows
+    # and the LLR stays finite however far y lies from the centres.
+    top_even = ll[:n_even].max(axis=0)
+    top_odd = ll[n_even:].max(axis=0)
+    ll[:n_even] -= top_even
+    ll[n_even:] -= top_odd
+    np.exp(ll, out=ll)
+    llr = (top_even - top_odd
+           + np.log(ll[:n_even].sum(axis=0)) - np.log(ll[n_even:].sum(axis=0)))
+    llr = np.where(start & 1, -llr, llr)
+    if y_arr.ndim == 0:
+        return float(llr[0])
+    return llr.reshape(y_arr.shape)
 
 
 def _bit_priors(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Per-coordinate P(bit = 1) of the sum-pattern codeword, (batch, n).
+    """Per-coordinate LLR log P(0)/P(1) of the sum-pattern codeword, (batch, n).
 
     Parity coordinates carry the sum of J independent antipodal symbols
     and get the (J+1)-level binomial mixture.  In SF mode each message
@@ -213,20 +288,20 @@ def _bit_priors(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """
     a = math.sqrt(cfg.p_avg)
     mk = cfg.m * cfg.k
-    p1 = np.empty_like(y)
+    llr = np.empty_like(y)
     if cfg.mode == "SF":
         shift = (cfg.j_users - 1) * a
-        p1[:, :mk] = cfsp_posterior(y[:, :mk] + shift, 1, a, cfg.n0)[1]
-        p1[:, mk:] = cfsp_posterior(y[:, mk:], cfg.j_users, a, cfg.n0)[1]
-        return p1
+        llr[:, :mk] = cfsp_posterior(y[:, :mk] + shift, 1, a, cfg.n0)
+        llr[:, mk:] = cfsp_posterior(y[:, mk:], cfg.j_users, a, cfg.n0)
+        return llr
     mu1, mu2 = _power_pair(cfg)
     jk = cfg.j_users * cfg.k
     # Information slots: one active user per coordinate; slots of the
     # users beyond J are silent and known to decode to zero.
-    p1[:, :jk] = cfsp_posterior(y[:, :jk], 1, math.sqrt(mu1) * a, cfg.n0)[1]
-    p1[:, jk:mk] = 0.0
-    p1[:, mk:] = cfsp_posterior(y[:, mk:], cfg.j_users, math.sqrt(mu2) * a, cfg.n0)[1]
-    return p1
+    llr[:, :jk] = cfsp_posterior(y[:, :jk], 1, math.sqrt(mu1) * a, cfg.n0)
+    llr[:, jk:mk] = np.inf
+    llr[:, mk:] = cfsp_posterior(y[:, mk:], cfg.j_users, math.sqrt(mu2) * a, cfg.n0)
+    return llr
 
 
 def _user_bit_index(cfg: SystemConfig) -> np.ndarray:
@@ -247,8 +322,8 @@ def receive_batch(y, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != cfg.n:
         raise ValueError(f"y must be (batch, {cfg.n}), got {y.shape}")
-    p1 = _bit_priors(y, cfg)
-    v_hat, converged = bp_decode_batch(p1, cfg.code.pcm, cfg.max_iter)
+    llr = _bit_priors(y, cfg)
+    v_hat, converged = bp_decode_batch(llr, cfg.code.pcm, cfg.max_iter)
     w_hat = v_hat[:, : cfg.m * cfg.k]
     rx_bits = w_hat[:, _user_bit_index(cfg)]
     return rx_bits, rx_bits.any(axis=2), converged

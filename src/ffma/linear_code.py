@@ -11,9 +11,8 @@ Provides:
   frames at once;
 * alist text interchange for sparse parity-check matrices.
 
-Bit/LLR conventions: codeword bits are 0/1; decoder inputs are per-bit
-probabilities that the bit equals 1; internally messages are
-``log(P(0)/P(1))`` clamped to +-40.
+Bit/LLR conventions: codeword bits are 0/1; decoder inputs and internal
+messages are log-likelihood ratios ``log(P(0)/P(1))`` clamped to +-40.
 """
 
 from __future__ import annotations
@@ -342,29 +341,26 @@ def encode(msg, gen: SystematicGenerator) -> np.ndarray:
     return np.concatenate([msg.astype(np.uint8), parity.astype(np.uint8)], axis=-1)
 
 
-def bp_decode_batch(priors, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
+def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sum-product decoding of a (batch, n) block of frames.
 
-    ``priors`` holds each coordinate's probability that the bit is 1.
+    ``llr`` holds each coordinate's channel LLR ``log(P(0)/P(1))``;
+    infinite values (known bits) are clamped like any other to +-40.
     Returns the (batch, n) hard decisions and a (batch,) flag telling
     whether each frame's syndrome was zero (its decisions are returned
     regardless).  Converged frames are squeezed out of the working set
     each iteration, so the cost is dominated by the hardest frames.
     """
-    P1 = np.asarray(priors, dtype=np.float64)
-    if P1.ndim != 2 or P1.shape[1] != pcm.n:
-        raise ValueError(f"priors must be (batch, {pcm.n}), got {P1.shape}")
+    llr0 = np.asarray(llr, dtype=np.float64)
+    if llr0.ndim != 2 or llr0.shape[1] != pcm.n:
+        raise ValueError(f"llr must be (batch, {pcm.n}), got {llr0.shape}")
     ctx = pcm._decode_context()
-    B = P1.shape[0]
-
-    with np.errstate(divide="ignore"):
-        llr0 = np.log1p(-P1) - np.log(P1)
     llr0 = np.clip(llr0, -LLR_CLAMP, LLR_CLAMP)
 
     hard = (llr0 < 0).astype(np.uint8)
     bits_out = hard.copy()
-    # Convergence needs a zero syndrome AND a decided value everywhere; a
-    # posterior of exactly zero carries no decision (it defaults to 0).
+    # Convergence needs a zero syndrome AND a decided value everywhere; an
+    # LLR of exactly zero carries no decision (it defaults to 0).
     ok = _checks_satisfied(hard, ctx) & ~(llr0 == 0).any(axis=1)
     conv = ok.copy()
     active = np.flatnonzero(~ok)

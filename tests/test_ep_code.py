@@ -6,10 +6,7 @@ import pytest
 from ffma.ep_code import (
     ElementPair,
     EpSet,
-    bits_to_elements,
     check_uspm,
-    elements_to_bits,
-    encode_user_sequence,
     f_b2q,
     f_q2b,
     ffsp,
@@ -51,15 +48,6 @@ def test_f_b2q_switching():
     assert f_b2q(0, ElementPair(5, 6)) == 5
     with pytest.raises(ValueError):
         f_b2q(2, pair)
-
-
-def test_encode_user_sequence_one_hot_layout():
-    f = BasisGF2m(3)
-    pair = orthogonal_ep_set(f, 3).pairs[1]  # user j=2
-    seq = encode_user_sequence((1, 0, 1), pair)
-    assert [f.to_tuple(e) for e in seq] == [(0, 1, 0), (0, 0, 0), (0, 1, 0)]
-    assert encode_user_sequence((0, 0), pair) == [0, 0]
-    assert encode_user_sequence([1], orthogonal_ep_set(f, 1).pairs[0]) == [1]
 
 
 def test_ffsp_juxtaposes_orthogonal_bits():
@@ -122,15 +110,3 @@ def test_uspm_on_basis_field_large_m():
     f = BasisGF2m(300)
     eps = orthogonal_ep_set(f, 18)
     assert check_uspm(eps)
-
-
-def test_element_bit_flattening_round_trip():
-    f = BasisGF2m(4)
-    rng = np.random.default_rng(9)
-    seq = [int(e) for e in rng.integers(0, 16, size=6)]
-    bits = elements_to_bits(seq, 4)
-    assert bits.shape == (24,)
-    assert bits_to_elements(bits, 4) == seq
-    assert list(elements_to_bits([f.from_tuple((0, 1, 1, 0))], 4)) == [0, 1, 1, 0]
-    with pytest.raises(ValueError):
-        bits_to_elements(np.zeros(10, dtype=np.uint8), 4)

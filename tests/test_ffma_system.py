@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import binom
 
+from mixture_oracle import full_mixture_posterior
 from per_user_tx import df_transmit, pa_transmit, sf_transmit, transmit
 
 from ffma.experiment import ExperimentSpec, per_user_frame_energy
@@ -51,9 +53,9 @@ def posterior_oracle(y, j_users, amplitude, n0):
 # ---------------------------------------------------------------------------
 
 def test_posterior_single_user_saturates():
-    p0, p1 = cfsp_posterior(50.0, 1, 1.0, 1.0)
+    p1 = expit(-cfsp_posterior(50.0, 1, 1.0, 1.0))
     assert p1 > 1 - 1e-12
-    p0, p1 = cfsp_posterior(-50.0, 1, 1.0, 1.0)
+    p0 = expit(cfsp_posterior(-50.0, 1, 1.0, 1.0))
     assert p0 > 1 - 1e-12
 
 
@@ -63,7 +65,7 @@ def test_posterior_single_user_is_bpsk_sigmoid():
         y = rng.normal(0, 2)
         a = rng.uniform(0.3, 2.0)
         n0 = rng.uniform(0.05, 3.0)
-        _, p1 = cfsp_posterior(y, 1, a, n0)
+        p1 = expit(-cfsp_posterior(y, 1, a, n0))
         assert abs(p1 - 1.0 / (1.0 + math.exp(-4 * a * y / n0))) < 1e-12
 
 
@@ -74,7 +76,8 @@ def test_posterior_normalization_and_oracle():
             a = rng.uniform(0.2, 2.0)
             n0 = rng.uniform(0.05, 4.0)
             y = rng.uniform(-1.5 * j * a, 1.5 * j * a)
-            p0, p1 = cfsp_posterior(y, j, a, n0)
+            llr = cfsp_posterior(y, j, a, n0)
+            p0, p1 = expit(llr), expit(-llr)
             assert abs(p0 + p1 - 1.0) < 1e-12
             q0, q1 = posterior_oracle(y, j, a, n0)
             assert abs(p1 - q1) < 1e-9
@@ -87,8 +90,8 @@ def test_posterior_symmetry_against_oracle():
             a = rng.uniform(0.3, 1.5)
             n0 = rng.uniform(0.1, 2.0)
             y = rng.uniform(0, j * a + 2)
-            _, p1_pos = cfsp_posterior(y, j, a, n0)
-            _, p1_neg = cfsp_posterior(-y, j, a, n0)
+            p1_pos = expit(-cfsp_posterior(y, j, a, n0))
+            p1_neg = expit(-cfsp_posterior(-y, j, a, n0))
             _, q1_pos = posterior_oracle(y, j, a, n0)
             _, q1_neg = posterior_oracle(-y, j, a, n0)
             assert abs(p1_pos - q1_pos) < 1e-9
@@ -97,10 +100,49 @@ def test_posterior_symmetry_against_oracle():
 
 def test_posterior_vectorized_matches_scalar():
     y = np.linspace(-4, 4, 17)
-    p0, p1 = cfsp_posterior(y, 3, 0.8, 0.7)
+    llr = cfsp_posterior(y, 3, 0.8, 0.7)
+    p0, p1 = expit(llr), expit(-llr)
     for i, yi in enumerate(y):
-        s0, s1 = cfsp_posterior(float(yi), 3, 0.8, 0.7)
+        llr_i = cfsp_posterior(float(yi), 3, 0.8, 0.7)
+        s0, s1 = expit(llr_i), expit(-llr_i)
         assert abs(p0[i] - s0) < 1e-15 and abs(p1[i] - s1) < 1e-15
+
+
+@pytest.mark.parametrize("j_users", [1, 2, 30, 60, 300])
+def test_windowed_llr_matches_full_mixture_at_extremes(j_users):
+    # The window keeps only the levels near the likelihood's peak; against
+    # every level of the full mixture the LLR must agree to 1e-9 wherever
+    # the reference is finite, and in sign where it saturates.  The
+    # reference saturates once its weaker probability leaves the normal
+    # float range: a subnormal keeps too few bits for its log to be exact
+    # (|log p0/p1| > ~708), and zero gives an infinite LLR.
+    rng = np.random.default_rng(300 + j_users)
+    for a in (0.3, 1.0, 2.5):
+        span = 10.0 * a * j_users
+        y = np.concatenate([
+            a * (2.0 * np.arange(j_users + 1) - j_users),          # centres
+            a * (2.0 * np.arange(j_users) + 1.0 - j_users),        # midpoints
+            np.array([-span, span, -a * j_users - 3.0, a * j_users + 3.0]),
+            rng.uniform(-span, span, size=200),
+        ])
+        for n0 in np.logspace(-4.0, 2.0, 13):
+            llr = cfsp_posterior(y, j_users, a, n0)
+            p0, p1 = full_mixture_posterior(y, j_users, a, n0)
+            with np.errstate(divide="ignore"):
+                ref = np.log(p0) - np.log(p1)
+            finite = np.minimum(p0, p1) >= np.finfo(np.float64).tiny
+            assert np.abs(llr - ref)[finite].max(initial=0.0) <= 1e-9, (a, n0)
+            assert (np.sign(llr) == np.sign(ref))[~finite].all(), (a, n0)
+
+
+def test_single_user_llr_is_textbook_at_any_distance():
+    # One user: LLR = -4*a*y/n0 exactly, even where P(odd) underflows
+    # (each parity class is scaled by its own maximum, so neither sum is 0).
+    y = np.concatenate([-np.logspace(-3.0, 4.0, 50), np.logspace(-3.0, 4.0, 50)])
+    for a in (0.3, 1.0, 2.5):
+        for n0 in np.logspace(-4.0, 2.0, 7):
+            llr = cfsp_posterior(y, 1, a, n0)
+            assert np.allclose(llr, -4.0 * a * y / n0, rtol=1e-9, atol=1e-9), (a, n0)
 
 
 def test_posterior_validation():
@@ -296,7 +338,7 @@ def test_noiseless_hard_map_equals_codeword_xor(code16):
             bits = np.array(flat, dtype=np.uint8).reshape(j_users, 2)
             x = transmit(bits, cfg)
             r = x.sum(axis=0)
-            _, p1 = cfsp_posterior(r, j_users, 1.0, cfg.n0)
+            p1 = expit(-cfsp_posterior(r, j_users, 1.0, cfg.n0))
             v_hat = (p1 > 0.5).astype(np.uint8)
             cw_xor = np.zeros(16, dtype=np.uint8)
             for row in x:

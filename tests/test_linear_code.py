@@ -24,6 +24,12 @@ def toy_code():
     return pcm, gen
 
 
+def llr_from_p1(p1):
+    """Channel LLR log(P0/P1) of per-bit probabilities that the bit is 1."""
+    with np.errstate(divide="ignore"):
+        return np.log1p(-p1) - np.log(p1)
+
+
 def all_codewords(gen):
     msgs = np.array(list(itertools.product([0, 1], repeat=gen.k_total)), dtype=np.uint8)
     return msgs, encode(msgs, gen)
@@ -103,13 +109,13 @@ def test_encode_length_mismatch(toy_code):
 def test_bp_noiseless_is_identity(toy_code):
     pcm, gen = toy_code
     _, cws = all_codewords(gen)
-    dec, conv = bp_decode_batch(cws[::7].astype(np.float64), pcm)
+    dec, conv = bp_decode_batch(llr_from_p1(cws[::7].astype(np.float64)), pcm)
     assert conv.all() and (dec == cws[::7]).all()
 
 
 def test_bp_uninformative_priors_do_not_converge(toy_code):
     pcm, _ = toy_code
-    dec, conv = bp_decode_batch(np.full((1, 12), 0.5), pcm, max_iter=30)
+    dec, conv = bp_decode_batch(llr_from_p1(np.full((1, 12), 0.5)), pcm, max_iter=30)
     assert not conv[0]
     assert not dec.any()  # zero LLRs resolve to bit 0
 
@@ -124,7 +130,7 @@ def test_bp_corrects_single_flip_matches_nearest_codeword(toy_code):
     for flip in range(12):
         p1 = np.where(cw == 1, 0.99, 0.01)
         p1[flip] = 1.0 - p1[flip]
-        dec, conv = bp_decode_batch(p1[None, :], pcm)
+        dec, conv = bp_decode_batch(llr_from_p1(p1[None, :]), pcm)
         dec, conv = dec[0], conv[0]
         # independent oracle: nearest codeword in Hamming distance
         hard = (p1 > 0.5).astype(np.uint8)
@@ -141,9 +147,9 @@ def test_bp_batch_matches_single(toy_code):
     msgs = rng.integers(0, 2, size=(16, 6), dtype=np.uint8)
     cws = encode(msgs, gen)
     noisy = np.clip(np.where(cws == 1, 0.9, 0.1) + rng.normal(0, 0.05, cws.shape), 0.01, 0.99)
-    batch_bits, batch_conv = bp_decode_batch(noisy, pcm, max_iter=20)
+    batch_bits, batch_conv = bp_decode_batch(llr_from_p1(noisy), pcm, max_iter=20)
     for i in range(16):
-        bits, conv = bp_decode_batch(noisy[i : i + 1], pcm, max_iter=20)
+        bits, conv = bp_decode_batch(llr_from_p1(noisy[i : i + 1]), pcm, max_iter=20)
         assert (bits[0] == batch_bits[i]).all()
         assert conv[0] == batch_conv[i]
 

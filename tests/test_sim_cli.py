@@ -12,6 +12,8 @@ from ffma.experiment import (
     read_csv,
     run_experiment,
 )
+from ffma.ffma_system import make_system
+from ffma.linear_code import LinearCode
 
 
 def tiny_spec(**kw):
@@ -225,6 +227,23 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["-q", "plot", str(tmp_path / "nope.csv")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_negative_max_iter_rejected(tmp_path, capsys):
+    # A negative iteration budget is an error, not a silent max_iter=0.
+    out = tmp_path / "neg.csv"
+    rc = main([
+        "-q", "run", "--system", "DF", "--n", "96", "--k", "4", "--m", "8",
+        "--j", "2", "--snr", "2", "--max-iter", "-3", "--min-frames", "50",
+        "--max-frames", "50", "--out", str(out),
+    ])
+    assert rc == 2 and not out.exists()
+    assert "max_iter" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        tiny_spec(max_iter=-1)
+    code = LinearCode.generate(96, 32, col_weight=3, seed=3)
+    with pytest.raises(ValueError):
+        make_system(n=96, k=4, m=8, j_users=2, mode="DF", code=code, max_iter=-1)
 
 
 def test_cli_config_file(tmp_path):
