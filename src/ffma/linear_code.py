@@ -11,6 +11,17 @@ Provides:
   frames at once;
 * alist text interchange for sparse parity-check matrices.
 
+The decoder runs on one flat edge list in check order (Richardson &
+Urbanke, *Modern Coding Theory*, ch. 2): edge e joins variable
+``edge_var[e]`` to check ``edge_chk[e]``, the checks' segments start at
+``chk_start``, and ``var_order`` sorts the edges into variable segments
+starting at ``var_start``.  ``np.multiply.reduceat`` over the check
+segments gives each check's product of tanh(Lq/2), ``np.add.reduceat``
+over the variable segments each variable's message sum.  An edge's
+leave-one-out product is its check's product divided by its own factor;
+exact zeros are left out of the product and counted, so an erased edge
+(its check's only zero) still receives the product of the rest.
+
 Bit/LLR conventions: codeword bits are 0/1; decoder inputs and internal
 messages are log-likelihood ratios ``log(P(0)/P(1))`` clamped to +-40.
 """
@@ -37,22 +48,25 @@ class ParityCheckMatrix:
 
     def __init__(self, n: int, row_adj) -> None:
         self.n = int(n)
-        self.row_adj = [np.array(sorted(set(int(c) for c in row)), dtype=np.int64)
-                        for row in row_adj]
+        self.row_adj = [np.unique(np.asarray(row, dtype=np.int64)) for row in row_adj]
         self.n_checks = len(self.row_adj)
-        col_lists: list[list[int]] = [[] for _ in range(self.n)]
-        for i, row in enumerate(self.row_adj):
-            if row.size == 0:
-                raise ValueError(f"check {i} has no connected columns")
-            if row[0] < 0 or row[-1] >= self.n:
-                raise ValueError(f"check {i} references columns outside [0, {self.n})")
-            for c in row:
-                col_lists[c].append(i)
-        self.col_adj = [np.array(cl, dtype=np.int64) for cl in col_lists]
-        empty = [c for c, cl in enumerate(self.col_adj) if cl.size == 0]
-        if empty:
-            raise ValueError(f"columns with no parity checks: {empty[:8]}")
-        self._ctx: _DecodeContext | None = None
+        row_deg = np.array([row.size for row in self.row_adj], dtype=np.int64)
+        if (row_deg == 0).any():
+            raise ValueError(f"check {np.argmin(row_deg)} has no connected columns")
+        self.edge_var = np.concatenate(self.row_adj)
+        self.edge_chk = np.repeat(np.arange(self.n_checks), row_deg)
+        outside = (self.edge_var < 0) | (self.edge_var >= self.n)
+        if outside.any():
+            raise ValueError(f"check {self.edge_chk[outside][0]} references "
+                             f"columns outside [0, {self.n})")
+        col_deg = np.bincount(self.edge_var, minlength=self.n)
+        if (col_deg == 0).any():
+            empty = np.flatnonzero(col_deg == 0)[:8].tolist()
+            raise ValueError(f"columns with no parity checks: {empty}")
+        self.chk_start = np.cumsum(row_deg) - row_deg
+        self.var_start = np.cumsum(col_deg) - col_deg
+        self.var_order = np.argsort(self.edge_var, kind="stable")
+        self.col_adj = np.split(self.edge_chk[self.var_order], self.var_start[1:])
 
     @classmethod
     def from_dense(cls, matrix) -> "ParityCheckMatrix":
@@ -61,52 +75,11 @@ class ParityCheckMatrix:
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_checks, self.n), dtype=np.uint8)
-        for i, row in enumerate(self.row_adj):
-            dense[i, row] = 1
+        dense[self.edge_chk, self.edge_var] = 1
         return dense
 
     def column_weights(self) -> np.ndarray:
         return np.array([cl.size for cl in self.col_adj], dtype=np.int64)
-
-    def _decode_context(self) -> "_DecodeContext":
-        if self._ctx is None:
-            self._ctx = _DecodeContext(self)
-        return self._ctx
-
-
-class _DecodeContext:
-    """Padded edge-index tables for the vectorized decoder."""
-
-    def __init__(self, pcm: ParityCheckMatrix) -> None:
-        n, n_chk = pcm.n, pcm.n_checks
-        edge_var = np.concatenate(pcm.row_adj)
-        n_edges = edge_var.size
-        rmax = max(r.size for r in pcm.row_adj)
-        by_check_eid = np.zeros((n_chk, rmax), dtype=np.int64)
-        by_check_mask = np.zeros((n_chk, rmax), dtype=bool)
-        eid = 0
-        for i, row in enumerate(pcm.row_adj):
-            by_check_eid[i, : row.size] = np.arange(eid, eid + row.size)
-            by_check_mask[i, : row.size] = True
-            eid += row.size
-
-        cmax = max(cl.size for cl in pcm.col_adj)
-        by_var_eid = np.zeros((n, cmax), dtype=np.int64)
-        by_var_mask = np.zeros((n, cmax), dtype=bool)
-        slots = np.zeros(n, dtype=np.int64)
-        for e in range(n_edges):
-            v = edge_var[e]
-            by_var_eid[v, slots[v]] = e
-            by_var_mask[v, slots[v]] = True
-            slots[v] += 1
-
-        self.edge_var = edge_var
-        self.by_check_eid = by_check_eid
-        self.by_check_mask = by_check_mask
-        self.by_var_eid = by_var_eid
-        self.by_var_mask = by_var_mask
-        self.chk_vidx = edge_var[by_check_eid]
-        self.n_edges = n_edges
 
 
 @dataclass
@@ -354,45 +327,39 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     llr0 = np.asarray(llr, dtype=np.float64)
     if llr0.ndim != 2 or llr0.shape[1] != pcm.n:
         raise ValueError(f"llr must be (batch, {pcm.n}), got {llr0.shape}")
-    ctx = pcm._decode_context()
     llr0 = np.clip(llr0, -LLR_CLAMP, LLR_CLAMP)
 
     hard = (llr0 < 0).astype(np.uint8)
     bits_out = hard.copy()
     # Convergence needs a zero syndrome AND a decided value everywhere; an
     # LLR of exactly zero carries no decision (it defaults to 0).
-    ok = _checks_satisfied(hard, ctx) & ~(llr0 == 0).any(axis=1)
+    ok = _checks_satisfied(hard, pcm) & ~(llr0 == 0).any(axis=1)
     conv = ok.copy()
     active = np.flatnonzero(~ok)
     if active.size == 0 or max_iter == 0:
         return bits_out, conv
 
     L0 = llr0[active]
-    Lq = L0[:, ctx.edge_var]
+    Lq = L0[:, pcm.edge_var]
     hard = hard[active]
     for _ in range(max_iter):
-        # Check-node update: leave-one-out products of tanh(Lq/2) via
-        # prefix/suffix cumulative products (exact even with zeros).
-        T = np.tanh(0.5 * Lq)[:, ctx.by_check_eid]
-        T[:, ~ctx.by_check_mask] = 1.0
-        left = np.cumprod(T, axis=2)
-        right = np.cumprod(T[:, :, ::-1], axis=2)[:, :, ::-1]
-        loo = np.ones_like(T)
-        loo[:, :, 1:] = left[:, :, :-1]
-        loo[:, :, :-1] *= right[:, :, 1:]
-        vals = np.clip(loo[:, ctx.by_check_mask], -1.0, 1.0)
+        # Check-node update: leave-one-out tanh products, zeros counted apart.
+        T = np.tanh(0.5 * Lq)
+        zero = T == 0
+        T[zero] = 1.0
+        prod = np.multiply.reduceat(T, pcm.chk_start, axis=1)[:, pcm.edge_chk]
+        n_zero = np.add.reduceat(zero, pcm.chk_start, axis=1)[:, pcm.edge_chk]
+        vals = np.clip(np.where(n_zero > zero, 0.0, prod / T), -1.0, 1.0)
         with np.errstate(divide="ignore"):
             Lr = 2.0 * np.arctanh(vals)
         np.clip(Lr, -LLR_CLAMP, LLR_CLAMP, out=Lr)
 
         # Variable-node update and posterior.
-        R = Lr[:, ctx.by_var_eid]
-        R[:, ~ctx.by_var_mask] = 0.0
-        post = L0 + R.sum(axis=2)
-        Lq = post[:, ctx.edge_var] - Lr
+        post = L0 + np.add.reduceat(Lr[:, pcm.var_order], pcm.var_start, axis=1)
+        Lq = post[:, pcm.edge_var] - Lr
 
         hard = (post < 0).astype(np.uint8)
-        ok = _checks_satisfied(hard, ctx) & ~(post == 0).any(axis=1)
+        ok = _checks_satisfied(hard, pcm) & ~(post == 0).any(axis=1)
         if ok.any():
             done = active[ok]
             bits_out[done] = hard[ok]
@@ -409,10 +376,8 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     return bits_out, conv
 
 
-def _checks_satisfied(hard: np.ndarray, ctx: _DecodeContext) -> np.ndarray:
-    gathered = hard[:, ctx.chk_vidx].astype(np.int32)
-    gathered[:, ~ctx.by_check_mask] = 0
-    parity = gathered.sum(axis=2) & 1
+def _checks_satisfied(hard: np.ndarray, pcm: ParityCheckMatrix) -> np.ndarray:
+    parity = np.add.reduceat(hard[:, pcm.edge_var], pcm.chk_start, axis=1) & 1
     return ~parity.any(axis=1)
 
 
@@ -460,6 +425,8 @@ def load_alist(path) -> ParityCheckMatrix:
             entries = [e for e in data[4 + c] if e > 0]
             if len(entries) != col_deg[c]:
                 raise ValueError(f"column {c} lists {len(entries)} checks, expected {col_deg[c]}")
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"column {c} lists a check more than once")
             for e in entries:
                 if not 1 <= e <= n_checks:
                     raise ValueError(f"column {c} references check {e} outside [1, {n_checks}]")

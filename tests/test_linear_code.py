@@ -1,8 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from bp_oracle import padded_bp_decode_batch
+from ffma.ffma_system import _bit_priors, make_system, transmit_cfsp_batch
 from ffma.linear_code import (
     LinearCode,
     ParityCheckMatrix,
@@ -154,6 +157,52 @@ def test_bp_batch_matches_single(toy_code):
         assert conv[0] == batch_conv[i]
 
 
+def test_bp_fills_erased_bits(toy_code):
+    # An LLR of exactly 0 is an erasure: its check still hands it the
+    # product of the other edges, which recovers the bit from the code.
+    pcm, gen = toy_code
+    cw = encode(np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8), gen)
+    for erased in [(i,) for i in range(12)] + [(0, 7)]:
+        llr = np.where(cw == 1, -5.0, 5.0)
+        llr[list(erased)] = 0.0
+        dec, conv = bp_decode_batch(llr[None, :], pcm)
+        assert conv[0] and (dec[0] == cw).all(), f"erased {erased}"
+
+
+@pytest.fixture(scope="module")
+def desk_code():
+    return LinearCode.generate(600, 300, col_weight=3, seed=7)
+
+
+def _receiver_llr(code, mode, esn0_db, mu_pas=1.0, frames=100, seed=0):
+    """Detector LLRs of `frames` noisy J=60 frames on the (600, 300) code."""
+    n0 = 10.0 ** (-esn0_db / 10.0)
+    cfg = make_system(n=600, k=5, m=60, j_users=60, mode=mode, code=code,
+                      mu_pas=mu_pas, n0=n0)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(frames, 60, 5), dtype=np.uint8)
+    y = transmit_cfsp_batch(bits, cfg) + rng.normal(0.0, math.sqrt(n0 / 2.0), (frames, 600))
+    return _bit_priors(y, cfg)
+
+
+def test_bp_matches_padded_oracle(toy_code, desk_code):
+    rng = np.random.default_rng(9)
+    toy_llr = rng.normal(0.0, 3.0, size=(200, 12))
+    toy_llr[rng.random(toy_llr.shape) < 0.1] = 0.0
+    toy_llr[rng.random(toy_llr.shape) < 0.05] = np.inf
+    toy_llr[rng.random(toy_llr.shape) < 0.05] = -np.inf
+    cases = [
+        (toy_code[0], toy_llr),
+        (desk_code.pcm, _receiver_llr(desk_code, "SF", 0.5)),
+        (desk_code.pcm, _receiver_llr(desk_code, "PA", -12.0, mu_pas=60.0)),
+    ]
+    for pcm, llr in cases:
+        for max_iter in (0, 1, 50):
+            bits, conv = bp_decode_batch(llr, pcm, max_iter)
+            ref_bits, ref_conv = padded_bp_decode_batch(llr, pcm, max_iter)
+            assert (bits == ref_bits).all() and (conv == ref_conv).all(), (pcm.n, max_iter)
+
+
 def test_alist_round_trip(tmp_path, toy_code):
     pcm, _ = toy_code
     path = tmp_path / "toy.alist"
@@ -181,9 +230,14 @@ def test_alist_unpadded_accepted(tmp_path):
 
 def test_alist_malformed_rejected(tmp_path):
     path = tmp_path / "bad.alist"
-    path.write_text("4 2\n2 2\n1 2 1\n3 2\n")
-    with pytest.raises(ValueError):
-        load_alist(path)
+    for text in [
+        "4 2\n2 2\n1 2 1\n3 2\n",
+        # column 1 lists check 1 twice
+        "4 2\n2 2\n1 2 1 1\n3 2\n1 0\n1 1\n2 0\n1 0\n1 2 4 0\n2 3 0 0\n",
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match="malformed alist"):
+            load_alist(path)
 
 
 def test_linear_code_from_alist(tmp_path):
