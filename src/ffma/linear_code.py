@@ -13,14 +13,16 @@ Provides:
 
 The decoder runs on one flat edge list in check order (Richardson &
 Urbanke, *Modern Coding Theory*, ch. 2): edge e joins variable
-``edge_var[e]`` to check ``edge_chk[e]``, the checks' segments start at
-``chk_start``, and ``var_order`` sorts the edges into variable segments
-starting at ``var_start``.  ``np.multiply.reduceat`` over the check
-segments gives each check's product of tanh(Lq/2), ``np.add.reduceat``
-over the variable segments each variable's message sum.  An edge's
-leave-one-out product is its check's product divided by its own factor;
-exact zeros are left out of the product and counted, so an erased edge
-(its check's only zero) still receives the product of the rest.
+``edge_var[e]`` to check ``edge_chk[e]``, and the checks' segments start
+at ``chk_start``.  ``np.multiply.reduceat`` over them gives each check's
+product of tanh(Lq/2); an edge's leave-one-out product is that product
+divided by its own factor.  Exact zeros, counted only in batches that
+have one, are left out of the product, so an erased edge (its check's
+only zero) still receives the product of the rest.  Row v of
+``var_slots`` holds column v's edge ids, padded with a constant -0.0
+message, summed as slot 0 + (slot 1 + slot 2 + ...): reduceat's order
+for up to 8 edges.  Syndromes use a cached uint8 CSR ``H`` (parity
+survives the wrap-around); loop buffers are reallocated only on a squeeze.
 
 Bit/LLR conventions: codeword bits are 0/1; decoder inputs and internal
 messages are log-likelihood ratios ``log(P(0)/P(1))`` clamped to +-40.
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 LLR_CLAMP = 40.0
 
@@ -64,14 +67,15 @@ class ParityCheckMatrix:
             empty = np.flatnonzero(col_deg == 0)[:8].tolist()
             raise ValueError(f"columns with no parity checks: {empty}")
         self.chk_start = np.cumsum(row_deg) - row_deg
-        self.var_start = np.cumsum(col_deg) - col_deg
-        self.var_order = np.argsort(self.edge_var, kind="stable")
-        self.col_adj = np.split(self.edge_chk[self.var_order], self.var_start[1:])
-
-    @classmethod
-    def from_dense(cls, matrix) -> "ParityCheckMatrix":
-        matrix = np.asarray(matrix)
-        return cls(matrix.shape[1], [np.flatnonzero(r) for r in matrix])
+        var_order = np.argsort(self.edge_var, kind="stable")
+        var_start = np.cumsum(col_deg) - col_deg
+        self.col_adj = np.split(self.edge_chk[var_order], var_start[1:])
+        n_edges = self.edge_var.size
+        rank = np.arange(n_edges) - np.repeat(var_start, col_deg)
+        self.var_slots = np.full((self.n, int(col_deg.max())), n_edges)
+        self.var_slots[self.edge_var[var_order], rank] = var_order
+        self.H = scipy.sparse.csr_matrix(
+            (np.ones(n_edges, np.uint8), self.edge_var, np.append(self.chk_start, n_edges)))
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_checks, self.n), dtype=np.uint8)
@@ -336,29 +340,51 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     ok = _checks_satisfied(hard, pcm) & ~(llr0 == 0).any(axis=1)
     conv = ok.copy()
     active = np.flatnonzero(~ok)
-    if active.size == 0 or max_iter == 0:
+    if active.size == 0 or max_iter <= 0:
         return bits_out, conv
 
+    # Message arrays carry one column past the last edge: in Lr it is the
+    # -0.0 message that unused slots read.  mode="clip" lets np.take write
+    # into `out` (every index is in range).
+    edge_var = np.append(pcm.edge_var, 0)
+    edge_chk = np.append(pcm.edge_chk, 0)
     L0 = llr0[active]
-    Lq = L0[:, pcm.edge_var]
-    hard = hard[active]
+    Lq = np.take(L0, edge_var, axis=1)
+    Lr = np.empty(0)
     for _ in range(max_iter):
+        if Lr.shape[0] != active.size:  # first pass, or frames squeezed out
+            Lr = np.empty_like(Lq)
+            prod = np.empty((active.size, pcm.n_checks))
+            post, slot = np.empty_like(L0), np.empty_like(L0)
+
         # Check-node update: leave-one-out tanh products, zeros counted apart.
-        T = np.tanh(0.5 * Lq)
-        zero = T == 0
-        T[zero] = 1.0
-        prod = np.multiply.reduceat(T, pcm.chk_start, axis=1)[:, pcm.edge_chk]
-        n_zero = np.add.reduceat(zero, pcm.chk_start, axis=1)[:, pcm.edge_chk]
-        vals = np.clip(np.where(n_zero > zero, 0.0, prod / T), -1.0, 1.0)
+        # T = tanh(Lq/2) overwrites Lq, which is rebuilt from post below.
+        T = np.tanh(np.multiply(Lq, 0.5, out=Lq), out=Lq)
+        zero = None if T.all() else T == 0
+        if zero is not None:
+            T[zero] = 1.0
+        np.multiply.reduceat(T[:, :-1], pcm.chk_start, axis=1, out=prod)
+        np.take(prod, edge_chk, axis=1, out=Lr, mode="clip")
+        Lr /= T
+        if zero is not None:
+            n_zero = np.add.reduceat(zero[:, :-1], pcm.chk_start, axis=1)[:, edge_chk]
+            Lr[n_zero > zero] = 0.0
+        np.clip(Lr, -1.0, 1.0, out=Lr)
         with np.errstate(divide="ignore"):
-            Lr = 2.0 * np.arctanh(vals)
+            np.arctanh(Lr, out=Lr)
+        Lr *= 2.0
         np.clip(Lr, -LLR_CLAMP, LLR_CLAMP, out=Lr)
+        Lr[:, -1] = -0.0
 
-        # Variable-node update and posterior.
-        post = L0 + np.add.reduceat(Lr[:, pcm.var_order], pcm.var_start, axis=1)
-        Lq = post[:, pcm.edge_var] - Lr
+        # Variable-node update and posterior: L0 + (slot 0 + (slot 1 + ...)).
+        post.fill(-0.0)
+        for j in [*range(1, pcm.var_slots.shape[1]), 0]:
+            post += np.take(Lr, pcm.var_slots[:, j], axis=1, out=slot, mode="clip")
+        post += L0
+        np.take(post, edge_var, axis=1, out=Lq, mode="clip")
+        Lq -= Lr
 
-        hard = (post < 0).astype(np.uint8)
+        hard = (post < 0).view(np.uint8)
         ok = _checks_satisfied(hard, pcm) & ~(post == 0).any(axis=1)
         if ok.any():
             done = active[ok]
@@ -377,8 +403,7 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
 
 
 def _checks_satisfied(hard: np.ndarray, pcm: ParityCheckMatrix) -> np.ndarray:
-    parity = np.add.reduceat(hard[:, pcm.edge_var], pcm.chk_start, axis=1) & 1
-    return ~parity.any(axis=1)
+    return ~((pcm.H @ hard.T) & 1).any(axis=0)
 
 
 # ---------------------------------------------------------------------------

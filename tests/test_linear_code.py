@@ -9,6 +9,7 @@ from ffma.ffma_system import _bit_priors, make_system, transmit_cfsp_batch
 from ffma.linear_code import (
     LinearCode,
     ParityCheckMatrix,
+    _checks_satisfied,
     bp_decode_batch,
     encode,
     ldpc_construct,
@@ -185,15 +186,35 @@ def _receiver_llr(code, mode, esn0_db, mu_pas=1.0, frames=100, seed=0):
     return _bit_priors(y, cfg)
 
 
-def test_bp_matches_padded_oracle(toy_code, desk_code):
+def _irregular_pcm(tmp_path):
+    """A (48, 24) code, column degrees cycling 2, 3, 4, read back from alist."""
+    rng = np.random.default_rng(3)
+    cols = [rng.choice(24, size=d, replace=False) for d in np.resize([2, 3, 4], 48)]
+    rows = [[c for c, col in enumerate(cols) if r in col] for r in range(24)]
+    path = tmp_path / "irregular.alist"
+    save_alist(ParityCheckMatrix(48, rows), path)
+    return load_alist(path)
+
+
+def test_bp_matches_padded_oracle(toy_code, desk_code, tmp_path):
     rng = np.random.default_rng(9)
     toy_llr = rng.normal(0.0, 3.0, size=(200, 12))
     toy_llr[rng.random(toy_llr.shape) < 0.1] = 0.0
     toy_llr[rng.random(toy_llr.shape) < 0.05] = np.inf
     toy_llr[rng.random(toy_llr.shape) < 0.05] = -np.inf
+    irregular = _irregular_pcm(tmp_path)
+    assert set(irregular.column_weights().tolist()) == {2, 3, 4}
+    # Noisy all-zero codeword (BPSK, sigma 0.8): zero-free, so the check
+    # update skips the zero count; 10 % erasures take the counting branch.
+    irr_llr = 2.0 / 0.64 * (1.0 + rng.normal(0.0, 0.8, size=(300, 48)))
+    irr_erased = np.where(rng.random(irr_llr.shape) < 0.1, 0.0, irr_llr)
     cases = [
         (toy_code[0], toy_llr),
+        (irregular, irr_llr),
+        (irregular, irr_erased),
         (desk_code.pcm, _receiver_llr(desk_code, "SF", 0.5)),
+        # ~70 % of these frames converge part-way: squeezes mid-decode.
+        (desk_code.pcm, _receiver_llr(desk_code, "DF", 0.0)),
         (desk_code.pcm, _receiver_llr(desk_code, "PA", -12.0, mu_pas=60.0)),
     ]
     for pcm, llr in cases:
@@ -201,6 +222,20 @@ def test_bp_matches_padded_oracle(toy_code, desk_code):
             bits, conv = bp_decode_batch(llr, pcm, max_iter)
             ref_bits, ref_conv = padded_bp_decode_batch(llr, pcm, max_iter)
             assert (bits == ref_bits).all() and (conv == ref_conv).all(), (pcm.n, max_iter)
+
+
+def test_syndrome_counts_ones_per_check(toy_code, desk_code):
+    rng = np.random.default_rng(10)
+    desk_cws = encode(rng.integers(0, 2, (5, 300), dtype=np.uint8), desk_code.gen)
+    for pcm, cws in ((toy_code[0], all_codewords(toy_code[1])[1]), (desk_code.pcm, desk_cws)):
+        hard = np.concatenate([rng.integers(0, 2, (200, pcm.n), dtype=np.uint8), cws])
+        counts = pcm.to_dense().astype(np.int64) @ hard.T
+        assert (counts >= 2).any()  # a count-or-OR mix-up would show
+        parity = counts % 2
+        for bits in (hard, hard.astype(bool)):  # a bool H times bool bits ORs
+            assert ((pcm.H @ bits.T) & 1 == parity).all()
+            assert (_checks_satisfied(bits, pcm) == ~parity.any(axis=0)).all()
+        assert _checks_satisfied(cws, pcm).all()
 
 
 def test_alist_round_trip(tmp_path, toy_code):
