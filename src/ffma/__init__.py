@@ -1,6 +1,6 @@
 """Finite-field multiple-access coding over GF(2^m) with a GMAC simulator."""
 
-from .analysis import FblParams, fbl_rate_bound, gain_figures
+from .analysis import gain_figures
 from .baseline_aloha import AlohaConfig, aloha_cfsp_batch, aloha_receive_batch
 from .ep_code import (
     ElementPair,

@@ -1,48 +1,10 @@
-"""Analytic reporting utilities: finite-blocklength rate and gain figures."""
+"""Analytic reporting utilities: closed-form gain figures and BER-curve interpolation."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
-
-
-@dataclass(frozen=True)
-class FblParams:
-    """Operating point for the finite-blocklength rate bound."""
-
-    p: float
-    blocklength: int
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if self.p <= 0:
-            raise ValueError("SNR p must be positive")
-        if self.blocklength < 1:
-            raise ValueError("blocklength must be >= 1")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-
-
-def gaussian_dispersion(p: float) -> float:
-    """Channel dispersion V(P) = P(P+2) / (2(1+P)^2), in nats^2."""
-    return p * (p + 2.0) / (2.0 * (1.0 + p) ** 2)
-
-
-def fbl_rate_bound(params: FblParams) -> float:
-    """Normal-approximation rate at blocklength n, in bits per channel use.
-
-    C(P) - sqrt(V(P)/n) * Qinv(eps) + log2(n)/(2n), with the capacity
-    C(P) = log2(1+P)/2 and the dispersion term converted from nats; the
-    O(1/n) remainder is dropped.
-    """
-    n = params.blocklength
-    cap = 0.5 * math.log2(1.0 + params.p)
-    qinv = float(norm.isf(params.epsilon))
-    dispersion = math.sqrt(gaussian_dispersion(params.p) / n) * qinv / math.log(2.0)
-    return cap - dispersion + 0.5 * math.log2(n) / n
 
 
 def polarization_gain_db(mu_pas: float) -> float:

@@ -125,6 +125,14 @@ def _power_pair(cfg: SystemConfig) -> tuple[float, float]:
 # Transmitter
 # ---------------------------------------------------------------------------
 
+# Element budget of the per-batch temporaries (transmit's parity counts, the
+# detector's levels x samples block), so memory stays flat in J.  Not smaller:
+# at 1 << 18 no freed block raised glibc's dynamic mmap threshold past BP's
+# 1.4 MB buffers, so those were mmapped and page-faulted on every call (desk
+# SF batches 23 -> 28 ms).  At 1 << 21 every desk block fits in one chunk.
+_CHUNK = 1 << 21
+
+
 def transmit_cfsp_batch(bits, cfg: SystemConfig) -> np.ndarray:
     """Channel-side sum of all users' signals for a (batch, J, k) bit block.
 
@@ -149,7 +157,7 @@ def transmit_cfsp_batch(bits, cfg: SystemConfig) -> np.ndarray:
         rows = (np.arange(cfg.k)[None, :] * cfg.m + np.arange(J)[:, None])
         ones = np.zeros((B, cfg.n), dtype=np.int64)
         ones[:, rows.reshape(-1)] = bits.reshape(B, -1)
-        ones[:, mk:] = _parity_ones(bits, P[rows])
+        ones[:, mk:] = _parity_ones(bits, P, rows)
         return a * (2.0 * ones - float(J))
 
     mu1, mu2 = _power_pair(cfg)
@@ -158,21 +166,31 @@ def transmit_cfsp_batch(bits, cfg: SystemConfig) -> np.ndarray:
     rows = (np.arange(J)[:, None] * cfg.k + np.arange(cfg.k)[None, :])
     r = np.zeros((B, cfg.n), dtype=np.float64)
     r[:, : J * cfg.k] = a_info * (2.0 * bits.reshape(B, -1) - 1.0)
-    r[:, mk:] = a_par * (2.0 * _parity_ones(bits, P[rows]) - float(J))
+    r[:, mk:] = a_par * (2.0 * _parity_ones(bits, P, rows) - float(J))
     return r
 
 
-def _parity_ones(bits: np.ndarray, sub: np.ndarray) -> np.ndarray:
+def _parity_ones(bits: np.ndarray, P: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(batch, n - mk) count of users whose own parity bit is 1.
 
-    ``sub`` holds each user's (k, n - mk) rows of P.  The per-user
-    products are integer counts <= k, exact in float32, so one batched
-    float matmul over users replaces an integer contraction; the counts
-    then fit the narrowest unsigned type that holds k.
+    ``P[rows[j]]`` are user j's (k, n - mk) rows of the parity part.  The
+    per-user products are integer counts <= k, exact in float32, so one
+    batched float matmul over users replaces an integer contraction; the
+    counts then fit the narrowest unsigned type that holds k.  Users are
+    taken in chunks, so each float32 block holds at most _CHUNK elements
+    (or one user's block, if that is larger) whatever J is.
     """
-    k = bits.shape[2]
-    counts = np.matmul(bits.transpose(1, 0, 2).astype(np.float32), sub.astype(np.float32))
-    return (counts.astype(np.min_scalar_type(k)) & 1).sum(axis=0, dtype=np.int64)
+    B, J, k = bits.shape
+    width = P.shape[1]
+    per_chunk = max(1, _CHUNK // (max(B, k) * width))
+    total = np.zeros((B, width), dtype=np.int64)
+    for j0 in range(0, J, per_chunk):
+        users = slice(j0, j0 + per_chunk)
+        # One expression, so no chunk's counts outlive it into the next.
+        total += (np.matmul(bits[:, users].transpose(1, 0, 2).astype(np.float32),
+                            P[rows[users]].astype(np.float32))
+                  .astype(np.min_scalar_type(k)) & 1).sum(axis=0, dtype=np.int64)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -246,31 +264,40 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
         # put because d_J = -inf.
         step = (np.append(np.diff(log_comb), -np.inf)
                 - (a * scale) * (2.0 * np.arange(J + 1) + 1.0 - J))
-        scaled_y = scale * flat
-        lo = np.zeros(flat.shape, dtype=np.intp)
-        hi = np.full(flat.shape, J, dtype=np.intp)
-        for _ in range(J.bit_length()):
-            mid = (lo + hi) >> 1
-            up = step[mid] + scaled_y > 0
-            lo = np.where(up, mid + 1, lo)
-            hi = np.where(up, hi, mid)
-        start = np.clip(lo - half, 0, J + 1 - width)
-        base = table[:, start]
-    else:
-        start, base = 0, table    # the whole mixture, one column of table
+    # Samples are taken in near-equal chunks of at most _CHUNK // width, and
+    # of at least two: numpy sums a one-sample (width, 1) block pairwise
+    # instead of row by row, which moves the LLR's last bit.
+    n_chunks = max(1, -(-flat.size // max(4, _CHUNK // width)))
+    llr = np.empty(flat.shape)
+    for part, out in zip(np.array_split(flat, n_chunks), np.array_split(llr, n_chunks)):
+        if width <= J:
+            scaled_y = scale * part
+            lo = np.zeros(part.shape, dtype=np.intp)
+            hi = np.full(part.shape, J, dtype=np.intp)
+            for _ in range(J.bit_length()):
+                mid = (lo + hi) >> 1
+                up = step[mid] + scaled_y > 0
+                lo = np.where(up, mid + 1, lo)
+                hi = np.where(up, hi, mid)
+            start = np.clip(lo - half, 0, J + 1 - width)
+            # np.take keeps the gathered window C-ordered for the add below.
+            base = np.take(table, start, axis=1)
+        else:
+            start, base = 0, table    # the whole mixture, one column of table
 
-    ll = np.multiply.outer(t.astype(np.float64), scale * (flat - a * (2 * start - J)))
-    ll += base
-    # Each class is shifted by its own maximum, so neither sum underflows
-    # and the LLR stays finite however far y lies from the centres.
-    top_even = ll[:n_even].max(axis=0)
-    top_odd = ll[n_even:].max(axis=0)
-    ll[:n_even] -= top_even
-    ll[n_even:] -= top_odd
-    np.exp(ll, out=ll)
-    llr = (top_even - top_odd
-           + np.log(ll[:n_even].sum(axis=0)) - np.log(ll[n_even:].sum(axis=0)))
-    llr = np.where(start & 1, -llr, llr)
+        ll = np.multiply.outer(t.astype(np.float64), scale * (part - a * (2 * start - J)))
+        ll += base
+        # Each class is shifted by its own maximum, so neither sum underflows
+        # and the LLR stays finite however far y lies from the centres.
+        top_even = ll[:n_even].max(axis=0)
+        top_odd = ll[n_even:].max(axis=0)
+        ll[:n_even] -= top_even
+        ll[n_even:] -= top_odd
+        np.exp(ll, out=ll)
+        part_llr = (top_even - top_odd
+                    + np.log(ll[:n_even].sum(axis=0)) - np.log(ll[n_even:].sum(axis=0)))
+        out[:] = np.where(start & 1, -part_llr, part_llr)
+        del ll, base    # free this chunk's blocks before the next is built
     if y_arr.ndim == 0:
         return float(llr[0])
     return llr.reshape(y_arr.shape)

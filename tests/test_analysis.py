@@ -1,52 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ffma
 from ffma.analysis import (
-    FblParams,
-    fbl_rate_bound,
     gain_figures,
-    gaussian_dispersion,
     interpolate_snr_at_ber,
     polarization_gain_db,
     repetition_gain_db,
 )
-
-
-def test_dispersion_value_at_unit_snr():
-    assert math.isclose(gaussian_dispersion(1.0), 0.375)
-
-
-def test_rate_approaches_capacity():
-    p = 3.0
-    cap = 0.5 * math.log2(1 + p)
-    r = fbl_rate_bound(FblParams(p=p, blocklength=10**9, epsilon=1e-3))
-    assert abs(r - cap) < 1e-3
-    assert r < cap
-
-
-def test_rate_monotone_in_blocklength_and_snr():
-    eps = 1e-3
-    rates = [
-        fbl_rate_bound(FblParams(p=1.0, blocklength=n, epsilon=eps))
-        for n in (50, 100, 200, 500, 1000, 5000, 20000)
-    ]
-    assert all(b > a for a, b in zip(rates, rates[1:]))
-    rates_p = [
-        fbl_rate_bound(FblParams(p=p, blocklength=500, epsilon=eps))
-        for p in (0.5, 1.0, 2.0, 4.0, 8.0)
-    ]
-    assert all(b > a for a, b in zip(rates_p, rates_p[1:]))
-
-
-def test_fbl_params_validation():
-    with pytest.raises(ValueError):
-        FblParams(p=0.0, blocklength=100, epsilon=0.1)
-    with pytest.raises(ValueError):
-        FblParams(p=1.0, blocklength=0, epsilon=0.1)
-    with pytest.raises(ValueError):
-        FblParams(p=1.0, blocklength=100, epsilon=1.0)
 
 
 def test_gain_figures_headline_numbers():
@@ -74,3 +41,17 @@ def test_interpolate_snr_at_ber():
     assert interpolate_snr_at_ber([0, 1], [1e-3, 0.0], 1e-4) <= 1.0
     with pytest.raises(ValueError):
         interpolate_snr_at_ber([0, 1], [1e-2, 1e-3], 1e-6)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats alone roughly doubles the resident memory of every
+    # simulator process (each `ffma run`, pool worker and bench run), so
+    # nothing the package imports at load time may pull it in.
+    src = str(Path(ffma.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\nimport ffma, ffma.cli, ffma.experiment\n"
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import binom
 from mixture_oracle import full_mixture_posterior
 from per_user_tx import df_transmit, pa_transmit, sf_transmit, transmit
 
+import ffma.ffma_system as ffma_system
 from ffma.experiment import ExperimentSpec, per_user_frame_energy
 from ffma.ffma_system import (
     cfsp_posterior,
@@ -28,6 +30,11 @@ def code96():
 @pytest.fixture(scope="module")
 def code16():
     return LinearCode.generate(16, 8, col_weight=3, seed=2)
+
+
+@pytest.fixture(scope="module")
+def code600():
+    return LinearCode.generate(600, 300, col_weight=3, seed=7)
 
 
 def make_cfg(code, m, k, j_users, mode, **kw):
@@ -363,13 +370,60 @@ def test_receive_batch_matches_single(code96):
 
 
 @pytest.mark.parametrize("mode", ["SF", "DF", "PA"])
-def test_cfsp_batch_matches_per_user_transmit(code96, mode):
+def test_cfsp_batch_matches_per_user_transmit(code96, mode, monkeypatch):
     rng = np.random.default_rng(21)
     cfg = make_cfg(code96, 8, 4, 5, mode, mu_pas=4.0 if mode == "PA" else 1.0, p_avg=1.3)
     bits = rng.integers(0, 2, size=(7, 5, 4), dtype=np.uint8)
     r_fast = transmit_cfsp_batch(bits, cfg)
     for i in range(7):
         assert np.allclose(r_fast[i], transmit(bits[i], cfg).sum(axis=0))
+    # 7 frames and 64 parity columns: a budget of 900 elements takes the
+    # 5 users two at a time, and the sum must not change by a bit.
+    monkeypatch.setattr(ffma_system, "_CHUNK", 900)
+    assert transmit_cfsp_batch(bits, cfg).tobytes() == r_fast.tobytes()
+
+
+@pytest.mark.parametrize("j_users", [1, 30, 300])
+def test_posterior_chunks_over_samples_exactly(j_users, monkeypatch):
+    # Every size from 1 to 40 (so, for each chunk length, one whose last
+    # natural chunk would hold a single sample) and a few larger ones, on
+    # the window (a = 1) and on the whole mixture (a small enough that the
+    # window covers every level; J = 1 is always the whole mixture).
+    rng = np.random.default_rng(40 + j_users)
+    sizes = list(range(1, 41)) + [401, 1000]
+    cases = []
+    for a in (1.0, 0.3 if j_users < 300 else 0.1):
+        for size in sizes:
+            y = rng.normal(0.0, a * math.sqrt(j_users) + 0.7, size)
+            cases.append((y, a, cfsp_posterior(y, j_users, a, 1.0)))
+    monkeypatch.setattr(ffma_system, "_CHUNK", 64)
+    for y, a, whole in cases:
+        assert cfsp_posterior(y, j_users, a, 1.0).tobytes() == whole.tobytes(), (a, y.size)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transmit_and_detector_memory_flat_in_j(code600):
+    # J = 300 users (k = 1) on the desk code, 100 frames.  Unchunked, the
+    # parity counts alone are a (J, 100, 300) float32 block (36 MB) and the
+    # whole-mixture detector a (J+1, 30 000) float64 block (72 MB).
+    # Chunked, each holds at most _CHUNK elements (float32 counts plus
+    # their uint8 copies; one float64 levels x samples block), plus arrays
+    # the size of the batch.
+    budget = ffma_system._CHUNK
+    cfg = make_system(n=600, k=1, m=300, j_users=300, mode="SF", code=code600)
+    bits = np.random.default_rng(23).integers(0, 2, size=(100, 300, 1), dtype=np.uint8)
+    assert _traced_peak(transmit_cfsp_batch, bits, cfg) <= 8 * budget + 64 * 100 * 600
+    y = np.random.default_rng(24).normal(0.0, 2.0, size=100 * 300)
+    assert 301 * y.size > budget    # so the samples span several chunks
+    assert _traced_peak(cfsp_posterior, y, 300, 0.1, 1.0) <= 8 * budget + 64 * y.size
 
 
 def test_receive_rejects_wrong_length(code96):
@@ -383,11 +437,6 @@ def test_receive_rejects_wrong_length(code96):
 # ---------------------------------------------------------------------------
 # Analytic oracle: SF message section without decoding
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def code600():
-    return LinearCode.generate(600, 300, col_weight=3, seed=7)
-
 
 @pytest.mark.parametrize("j_users, m, k", [(1, 60, 5), (30, 60, 5), (60, 60, 5), (300, 300, 1)])
 def test_sf_message_decisions_match_bpsk_q_function(code600, j_users, m, k):
