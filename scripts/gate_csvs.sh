@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Write the refactor-gate CSVs for the ffma package under SRC and print
+# their SHA-1s.  A refactor keeps every file byte-identical (or explains
+# the diff), so compare the output of two checkouts:
+#
+#   scripts/gate_csvs.sh old/src out_old
+#   scripts/gate_csvs.sh src out_new
+#   diff <(cd out_old && sha1sum *.csv) <(cd out_new && sha1sum *.csv)
+#
+# The CSVs hold no wall time, so the files depend on the code alone.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC OUTDIR  (SRC is the directory that holds the ffma package)" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+
+ffma() {
+    PYTHONPATH="$src" python3 -m ffma.cli -q run "$@"
+}
+
+# Acceptance criterion 9's DF command, fixed to its first (single-worker) run.
+ffma --system DF --n 96 --k 4 --m 8 --j 2,8 --snr 2,5 --snr-ref esn0 --seed 11 \
+    --min-frames 50 --max-frames 300 --min-errors 40 --batch-frames 50 \
+    --out "$out/c9_df.csv"
+
+# Every mode on the desk code (600, 300), k=5, m=60, Es/N0 axis.
+desk=(--n 600 --k 5 --m 60 --snr-ref esn0 --seed 7)
+fixed200=(--j 1,30,60 --min-frames 200 --max-frames 200)
+ffma --system SF "${desk[@]}" "${fixed200[@]}" --snr=-1,0.5 --out "$out/desk_sf.csv"
+ffma --system DF "${desk[@]}" "${fixed200[@]}" --snr=-1,0 --out "$out/desk_df.csv"
+ffma --system PA "${desk[@]}" "${fixed200[@]}" --mu-pas 60 --snr=-12,-10 \
+    --out "$out/desk_pa.csv"
+
+# SF on the waterfall, where BP changes many message decisions.
+ffma --system SF "${desk[@]}" --j 30,60 --snr 0.25,0.5,0.75 \
+    --min-frames 500 --max-frames 500 --out "$out/desk_sf_waterfall.csv"
+
+# DF with J = m (no silent slot) on the default Eb/N0 axis.
+ffma --system DF --n 96 --k 4 --m 16 --j 2,16 --snr 2,5 --seed 11 \
+    --min-frames 300 --max-frames 300 --out "$out/df96_ebn0.csv"
+
+(cd "$out" && sha1sum c9_df.csv desk_sf.csv desk_df.csv desk_pa.csv \
+    desk_sf_waterfall.csv df96_ebn0.csv)

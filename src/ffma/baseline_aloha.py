@@ -57,7 +57,7 @@ def aloha_receive_batch(y, cfg: AlohaConfig) -> np.ndarray:
     return (sums > 0).astype(np.uint8)
 
 
-def aloha_cfsp_batch(bits, cfg: AlohaConfig, p_avg: float = 1.0) -> np.ndarray:
+def aloha_cfsp_batch(bits, cfg: AlohaConfig) -> np.ndarray:
     """Noiseless channel sum for a (batch, J, k) bit block.
 
     User j is nonzero only in slot j, so the sum is just the users'
@@ -68,6 +68,5 @@ def aloha_cfsp_batch(bits, cfg: AlohaConfig, p_avg: float = 1.0) -> np.ndarray:
         raise ValueError(
             f"bits must be (batch, {cfg.j_users}, {cfg.k}), got {bits.shape}"
         )
-    a = np.sqrt(p_avg)
     rep = np.repeat(bits.reshape(bits.shape[0], -1), cfg.repeat, axis=1)
-    return a * (2.0 * rep - 1.0)
+    return 2.0 * rep - 1.0

@@ -25,7 +25,7 @@ _INT_KEYS = {
     "n", "k", "m", "min_frames", "max_frames", "min_bit_errors",
     "max_iter", "seed", "col_weight", "workers", "batch_frames",
 }
-_FLOAT_KEYS = {"mu_pas", "p_avg"}
+_FLOAT_KEYS = {"mu_pas"}
 _BOOL_KEYS = {"record_timing"}
 
 
@@ -81,7 +81,6 @@ def _add_run_parser(sub) -> None:
     p.add_argument("--snr-ref", dest="snr_ref", choices=("ebn0", "esn0"),
                    help="interpret the grid as per-user Eb/N0 or per-symbol Es/N0")
     p.add_argument("--mu-pas", dest="mu_pas", type=float, help="PA power scaling factor")
-    p.add_argument("--p-avg", dest="p_avg", type=float)
     p.add_argument("--min-frames", dest="min_frames", type=int)
     p.add_argument("--max-frames", dest="max_frames", type=int)
     p.add_argument("--min-errors", dest="min_bit_errors", type=int)
@@ -123,16 +122,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = parse_config_file(args.config) if args.config else {}
-            overrides = {
-                key: getattr(args, key)
-                for key in (
-                    "system", "n", "k", "m", "j_list", "snr_grid", "snr_ref",
-                    "mu_pas", "p_avg", "min_frames", "max_frames",
-                    "min_bit_errors", "max_iter", "seed", "col_weight",
-                    "code_source", "output", "workers", "batch_frames",
-                    "record_timing",
-                )
-            }
+            overrides = {key: value for key, value in vars(args).items()
+                         if key not in ("command", "config", "quiet")}
             spec = build_spec(config, overrides)
             points = run_experiment(spec)
             log.info("wrote %d points to %s", len(points), spec.output)

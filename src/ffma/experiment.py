@@ -50,7 +50,6 @@ class ExperimentSpec:
     snr_grid: tuple = (0.0,)
     snr_ref: str = "ebn0"
     mu_pas: float = 1.0
-    p_avg: float = 1.0
     min_frames: int = 100
     max_frames: int = 200_000
     min_bit_errors: int = 100
@@ -81,6 +80,8 @@ class ExperimentSpec:
                 raise ValueError("FFMA systems need the extension degree m")
             if max(self.j_list) > self.m:
                 raise ValueError(f"user counts {self.j_list} exceed m={self.m}")
+        if self.system == "PA" and not 1 <= self.mu_pas <= self.m:
+            raise ValueError(f"mu_pas={self.mu_pas} violates 1 <= mu_pas <= m={self.m}")
         if self.min_frames < 1 or self.min_bit_errors < 1:
             raise ValueError("min_frames and min_bit_errors must be >= 1")
         if self.max_frames < self.min_frames:
@@ -89,8 +90,6 @@ class ExperimentSpec:
             raise ValueError("batch_frames and workers must be >= 1")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
-        if self.p_avg <= 0:
-            raise ValueError("p_avg must be positive")
 
 
 @dataclass
@@ -111,18 +110,18 @@ class BerPoint:
 
 
 def per_user_frame_energy(spec: ExperimentSpec, j_users: int) -> float:
-    """Transmitted energy per user per frame, in units of p_avg symbols."""
+    """Transmitted energy per user per frame, in unit-power symbols."""
     if spec.system == "SF" or spec.system == "PA":
-        return spec.n * spec.p_avg
+        return spec.n
     if spec.system == "DF":
-        return (spec.n - (spec.m - 1) * spec.k) * spec.p_avg
-    return (spec.n / j_users) * spec.p_avg
+        return spec.n - (spec.m - 1) * spec.k
+    return spec.n / j_users
 
 
 def _noise_level(spec: ExperimentSpec, j_users: int, snr_db: float) -> float:
     lin = 10.0 ** (snr_db / 10.0)
     if spec.snr_ref == "esn0":
-        return spec.p_avg / lin
+        return 1.0 / lin
     eb = per_user_frame_energy(spec, j_users) / spec.k
     return eb / lin
 
@@ -172,13 +171,13 @@ def _simulate_batch(
 
     if spec.system == "ALOHA":
         cfg = AlohaConfig(n=spec.n, k=spec.k, j_users=j_users)
-        r = aloha_cfsp_batch(bits, cfg, p_avg=spec.p_avg)
+        r = aloha_cfsp_batch(bits, cfg)
         y = r + noise_rng.normal(0.0, sigma, size=r.shape)
         rx = aloha_receive_batch(y, cfg)
     else:
         cfg = make_system(
             n=spec.n, k=spec.k, m=spec.m, j_users=j_users, mode=spec.system,
-            code=code, mu_pas=spec.mu_pas, p_avg=spec.p_avg, n0=n0,
+            code=code, mu_pas=spec.mu_pas, n0=n0,
             max_iter=spec.max_iter,
         )
         r = transmit_cfsp_batch(bits, cfg)
@@ -293,7 +292,7 @@ def run_experiment(spec: ExperimentSpec) -> list[BerPoint]:
                     frame_errors=acc.frame_errors,
                     wall_s=wall,
                     ebn0_db=10.0 * math.log10(per_user_frame_energy(spec, j) / spec.k / n0),
-                    esn0_db=10.0 * math.log10(spec.p_avg / n0),
+                    esn0_db=10.0 * math.log10(1.0 / n0),
                     worst_user_ber=float(acc.per_user.max() / (acc.frames * spec.k)),
                 )
                 points.append(point)

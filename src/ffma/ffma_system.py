@@ -15,20 +15,29 @@ frames at once:
   information and parity amplitudes by sqrt(mu1) and sqrt(mu2) under a
   total-power constraint.
 
+The symbol power is 1.  The modes differ only in their layout, which
+``SystemConfig`` works out once:
+
+* ``user_pos``: the (J, k) codeword positions of each user's bits, k*m + j
+  in SF and j*k + k in DF/PA;
+* ``n_info``: the leading message coordinates that are sent, m*k in SF
+  and J*k in DF/PA; the message coordinates after them are silent;
+* ``shift``: J-1 in SF and 0 in DF/PA; the other users' zero elements
+  move every sent message coordinate down by it;
+* ``a_info``, ``a_par``: the amplitudes of sent message and parity
+  coordinates, sqrt(mu1) and sqrt(mu2) in PA and 1 otherwise.
+
 The receiver converts the superposed channel output into per-coordinate
-LLRs log P(0)/P(1) of the finite-field sum-pattern codeword, hands them
-to one belief-propagation decode, and splits the recovered message back
-into per-user bits; a user decoding to all zeros is flagged inactive.  A
-message coordinate carries one plane, so its LLR is that of a single
-user's bit (the other users send known zero elements); a parity
-coordinate mixes all J users' bits and gets the binomial Gaussian
-mixture of ``cfsp_posterior``.
+LLRs log P(0)/P(1) of the finite-field sum-pattern codeword (see
+``_bit_priors``), hands them to one belief-propagation decode, and reads
+each user's bits back at ``user_pos``; a user decoding to all zeros is
+flagged inactive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -40,7 +49,8 @@ MODES = ("SF", "DF", "PA")
 
 @dataclass
 class SystemConfig:
-    """Scenario parameters binding users and a mode to a code."""
+    """Scenario parameters binding users and a mode to a code, plus the
+    mode's layout (the init=False fields; see the module docstring)."""
 
     n: int
     k: int
@@ -49,9 +59,13 @@ class SystemConfig:
     mode: str
     code: LinearCode
     mu_pas: float = 1.0
-    p_avg: float = 1.0
     n0: float = 1.0
     max_iter: int = 50
+    user_pos: np.ndarray = field(init=False, repr=False, compare=False)
+    n_info: int = field(init=False, repr=False, compare=False)
+    shift: float = field(init=False, repr=False, compare=False)
+    a_info: float = field(init=False, repr=False, compare=False)
+    a_par: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -64,16 +78,22 @@ class SystemConfig:
             raise ValueError(f"blocklength {self.n} != code length {self.code.n}")
         if not 1 <= self.j_users <= self.m:
             raise ValueError(f"j_users={self.j_users} out of range [1, m={self.m}]")
-        if self.mode == "PA" and not 1 <= self.mu_pas <= self.m:
-            raise ValueError(
-                f"power scaling factor {self.mu_pas} violates 1 <= mu_pas <= m={self.m}"
-            )
-        if self.p_avg <= 0:
-            raise ValueError("p_avg must be positive")
         if self.n0 <= 0:
             raise ValueError("n0 must be positive")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        j = np.arange(self.j_users)[:, None]
+        k = np.arange(self.k)[None, :]
+        if self.mode == "SF":
+            self.user_pos = k * self.m + j
+            self.n_info = self.m * self.k
+            self.shift = float(self.j_users - 1)
+        else:
+            self.user_pos = j * self.k + k
+            self.n_info = self.j_users * self.k
+            self.shift = 0.0
+        mu1, mu2 = pa_power_allocation(self) if self.mode == "PA" else (1.0, 1.0)
+        self.a_info, self.a_par = math.sqrt(mu1), math.sqrt(mu2)
 
 
 def make_system(
@@ -84,7 +104,6 @@ def make_system(
     mode: str,
     code: LinearCode | None = None,
     mu_pas: float = 1.0,
-    p_avg: float = 1.0,
     n0: float = 1.0,
     seed: int = 0,
     col_weight: int = 3,
@@ -95,7 +114,7 @@ def make_system(
         code = LinearCode.generate(n, m * k, col_weight=col_weight, seed=seed)
     return SystemConfig(
         n=n, k=k, m=m, j_users=j_users, mode=mode, code=code,
-        mu_pas=mu_pas, p_avg=p_avg, n0=n0, max_iter=max_iter,
+        mu_pas=mu_pas, n0=n0, max_iter=max_iter,
     )
 
 
@@ -113,12 +132,6 @@ def pa_power_allocation(cfg: SystemConfig) -> tuple[float, float]:
         )
     mu2 = cfg.n / (cfg.k * cfg.mu_pas + cfg.n - cfg.m * cfg.k)
     return cfg.mu_pas * mu2, mu2
-
-
-def _power_pair(cfg: SystemConfig) -> tuple[float, float]:
-    if cfg.mode == "PA":
-        return pa_power_allocation(cfg)
-    return 1.0, 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -147,26 +160,12 @@ def transmit_cfsp_batch(bits, cfg: SystemConfig) -> np.ndarray:
             f"bits must be (batch, {cfg.j_users}, {cfg.k}), got {bits.shape}"
         )
     B = bits.shape[0]
-    mk = cfg.m * cfg.k
-    P = cfg.code.gen.parity
-    a = math.sqrt(cfg.p_avg)
-    J = cfg.j_users
-
-    if cfg.mode == "SF":
-        # Message rows of user j inside P: tuple position j of block k.
-        rows = (np.arange(cfg.k)[None, :] * cfg.m + np.arange(J)[:, None])
-        ones = np.zeros((B, cfg.n), dtype=np.int64)
-        ones[:, rows.reshape(-1)] = bits.reshape(B, -1)
-        ones[:, mk:] = _parity_ones(bits, P, rows)
-        return a * (2.0 * ones - float(J))
-
-    mu1, mu2 = _power_pair(cfg)
-    a_info = math.sqrt(mu1) * a
-    a_par = math.sqrt(mu2) * a
-    rows = (np.arange(J)[:, None] * cfg.k + np.arange(cfg.k)[None, :])
     r = np.zeros((B, cfg.n), dtype=np.float64)
-    r[:, : J * cfg.k] = a_info * (2.0 * bits.reshape(B, -1) - 1.0)
-    r[:, mk:] = a_par * (2.0 * _parity_ones(bits, P, rows) - float(J))
+    r[:, cfg.user_pos.reshape(-1)] = bits.reshape(B, -1)
+    ni = cfg.n_info
+    r[:, :ni] = cfg.a_info * (2.0 * r[:, :ni] - 1.0) - cfg.shift
+    parity = _parity_ones(bits, cfg.code.gen.parity, cfg.user_pos)
+    r[:, cfg.m * cfg.k:] = cfg.a_par * (2.0 * parity - float(cfg.j_users))
     return r
 
 
@@ -306,38 +305,19 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
 def _bit_priors(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Per-coordinate LLR log P(0)/P(1) of the sum-pattern codeword, (batch, n).
 
-    Parity coordinates carry the sum of J independent antipodal symbols
-    and get the (J+1)-level binomial mixture.  In SF mode each message
-    coordinate belongs to one plane: only its owner's bit varies and the
-    other J-1 users send their zero element -a, so the sample is one
-    BPSK symbol shifted by -(J-1)a.  Planes without a user get the same
-    model (the receiver decides activity from the decoded message).
+    A sent message coordinate carries one unknown bit on top of the other
+    users' known zero elements, so ``y + shift`` is one BPSK symbol of
+    amplitude ``a_info`` (SF planes without a user get the same model; the
+    receiver decides activity from the decoded message).  Silent message
+    coordinates are known to decode to zero.  Parity coordinates carry the
+    sum of J independent antipodal symbols and get the (J+1)-level
+    binomial mixture.
     """
-    a = math.sqrt(cfg.p_avg)
-    mk = cfg.m * cfg.k
-    llr = np.empty_like(y)
-    if cfg.mode == "SF":
-        shift = (cfg.j_users - 1) * a
-        llr[:, :mk] = cfsp_posterior(y[:, :mk] + shift, 1, a, cfg.n0)
-        llr[:, mk:] = cfsp_posterior(y[:, mk:], cfg.j_users, a, cfg.n0)
-        return llr
-    mu1, mu2 = _power_pair(cfg)
-    jk = cfg.j_users * cfg.k
-    # Information slots: one active user per coordinate; slots of the
-    # users beyond J are silent and known to decode to zero.
-    llr[:, :jk] = cfsp_posterior(y[:, :jk], 1, math.sqrt(mu1) * a, cfg.n0)
-    llr[:, jk:mk] = np.inf
-    llr[:, mk:] = cfsp_posterior(y[:, mk:], cfg.j_users, math.sqrt(mu2) * a, cfg.n0)
+    ni, mk = cfg.n_info, cfg.m * cfg.k
+    llr = np.full_like(y, np.inf)
+    llr[:, :ni] = cfsp_posterior(y[:, :ni] + cfg.shift, 1, cfg.a_info, cfg.n0)
+    llr[:, mk:] = cfsp_posterior(y[:, mk:], cfg.j_users, cfg.a_par, cfg.n0)
     return llr
-
-
-def _user_bit_index(cfg: SystemConfig) -> np.ndarray:
-    """(J, k) indices of each user's bits inside the decoded message."""
-    j = np.arange(cfg.j_users)[:, None]
-    k = np.arange(cfg.k)[None, :]
-    if cfg.mode == "SF":
-        return k * cfg.m + j
-    return j * cfg.k + k
 
 
 def receive_batch(y, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,6 +331,5 @@ def receive_batch(y, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
         raise ValueError(f"y must be (batch, {cfg.n}), got {y.shape}")
     llr = _bit_priors(y, cfg)
     v_hat, converged = bp_decode_batch(llr, cfg.code.pcm, cfg.max_iter)
-    w_hat = v_hat[:, : cfg.m * cfg.k]
-    rx_bits = w_hat[:, _user_bit_index(cfg)]
+    rx_bits = v_hat[:, cfg.user_pos]
     return rx_bits, rx_bits.any(axis=2), converged

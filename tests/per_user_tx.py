@@ -27,7 +27,7 @@ def sf_transmit(bits, cfg: SystemConfig) -> np.ndarray:
 
     User j's element sequence occupies tuple position j-1 of each of the
     k message blocks; the flattened m*k-bit message is encoded by the
-    shared systematic code and mapped to +-sqrt(p_avg).
+    shared systematic code and mapped to +-1.
     """
     if cfg.mode != "SF":
         raise ValueError(f"sf_transmit needs mode SF, got {cfg.mode}")
@@ -37,7 +37,7 @@ def sf_transmit(bits, cfg: SystemConfig) -> np.ndarray:
     for j in range(cfg.j_users):
         msgs[j, block + j] = bits[j]
     codewords = encode(msgs, cfg.code.gen)
-    return math.sqrt(cfg.p_avg) * (2.0 * codewords - 1.0)
+    return 2.0 * codewords - 1.0
 
 
 def _diag_signals(bits: np.ndarray, cfg: SystemConfig, a_info: float, a_parity: float) -> np.ndarray:
@@ -63,8 +63,7 @@ def df_transmit(bits, cfg: SystemConfig) -> np.ndarray:
     if cfg.mode not in ("DF", "PA"):
         raise ValueError(f"df_transmit needs mode DF or PA, got {cfg.mode}")
     bits = _check_bits(bits, cfg)
-    a = math.sqrt(cfg.p_avg)
-    return _diag_signals(bits, cfg, a, a)
+    return _diag_signals(bits, cfg, 1.0, 1.0)
 
 
 def pa_transmit(bits, cfg: SystemConfig) -> np.ndarray:
@@ -73,9 +72,7 @@ def pa_transmit(bits, cfg: SystemConfig) -> np.ndarray:
         raise ValueError(f"pa_transmit needs mode PA, got {cfg.mode}")
     bits = _check_bits(bits, cfg)
     mu1, mu2 = pa_power_allocation(cfg)
-    return _diag_signals(
-        bits, cfg, math.sqrt(mu1 * cfg.p_avg), math.sqrt(mu2 * cfg.p_avg)
-    )
+    return _diag_signals(bits, cfg, math.sqrt(mu1), math.sqrt(mu2))
 
 
 def transmit(bits, cfg: SystemConfig) -> np.ndarray:
@@ -87,11 +84,11 @@ def transmit(bits, cfg: SystemConfig) -> np.ndarray:
     return pa_transmit(bits, cfg)
 
 
-def aloha_transmit(bits, cfg, p_avg: float = 1.0) -> np.ndarray:
+def aloha_transmit(bits, cfg) -> np.ndarray:
     """Per-user ALOHA signals, (J, n); user j is nonzero only in slot j."""
     bits = _check_bits(bits, cfg)
     x = np.zeros((cfg.j_users, cfg.n), dtype=np.float64)
     for j in range(cfg.j_users):
         sl = slice(j * cfg.slot_len, (j + 1) * cfg.slot_len)
-        x[j, sl] = math.sqrt(p_avg) * (2.0 * np.repeat(bits[j], cfg.repeat) - 1.0)
+        x[j, sl] = 2.0 * np.repeat(bits[j], cfg.repeat) - 1.0
     return x

@@ -57,11 +57,11 @@ def test_batch_matches_single_and_cfsp():
     cfg = AlohaConfig(n=24, k=2, j_users=4)
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, size=(5, 4, 2), dtype=np.uint8)
-    r = aloha_cfsp_batch(bits, cfg, p_avg=1.5)
+    r = aloha_cfsp_batch(bits, cfg)
     y = r + rng.normal(0.0, math.sqrt(0.8 / 2.0), size=r.shape)
     batch = aloha_receive_batch(y, cfg)
     for i in range(5):
-        assert np.allclose(r[i], aloha_transmit(bits[i], cfg, p_avg=1.5).sum(axis=0))
+        assert np.allclose(r[i], aloha_transmit(bits[i], cfg).sum(axis=0))
         single = aloha_receive_batch(y[i : i + 1], cfg)[0]
         assert (single == batch[i]).all()
 

@@ -199,12 +199,12 @@ def test_pa_allocation_bounds(code96):
 def test_pa_energy_conservation(code96):
     rng = np.random.default_rng(0)
     for mu in (1.0, 3.0, 8.0):
-        cfg = make_cfg(code96, 8, 4, 5, "PA", mu_pas=mu, p_avg=1.7)
+        cfg = make_cfg(code96, 8, 4, 5, "PA", mu_pas=mu)
         bits = rng.integers(0, 2, size=(5, 4), dtype=np.uint8)
         x = pa_transmit(bits, cfg)
-        spec = ExperimentSpec(system="PA", n=96, k=4, m=8, mu_pas=mu, p_avg=1.7)
+        spec = ExperimentSpec(system="PA", n=96, k=4, m=8, mu_pas=mu)
         for j in range(5):
-            assert abs((x[j] ** 2).sum() - cfg.n * cfg.p_avg) < 1e-9
+            assert abs((x[j] ** 2).sum() - cfg.n) < 1e-9
             assert abs((x[j] ** 2).sum() - per_user_frame_energy(spec, 5)) < 1e-9
 
 
@@ -229,13 +229,12 @@ def test_pa_amplitude_ratio_and_degenerate_case(code96):
 # ---------------------------------------------------------------------------
 
 def test_sf_all_zero_and_antipodal_levels(code96):
-    cfg = make_cfg(code96, 8, 4, 3, "SF", p_avg=2.0)
-    a = math.sqrt(2.0)
+    cfg = make_cfg(code96, 8, 4, 3, "SF")
     x = sf_transmit(np.zeros((3, 4), dtype=np.uint8), cfg)
-    assert np.allclose(x, -a)
+    assert (x == -1.0).all()
     rng = np.random.default_rng(4)
     x = sf_transmit(rng.integers(0, 2, (3, 4), dtype=np.uint8), cfg)
-    assert set(np.unique(np.round(np.abs(x), 12))) == {round(a, 12)}
+    assert set(np.unique(np.abs(x))) == {1.0}
 
 
 def test_sf_two_user_ffsp_information_section(code16):
@@ -371,16 +370,25 @@ def test_receive_batch_matches_single(code96):
 
 @pytest.mark.parametrize("mode", ["SF", "DF", "PA"])
 def test_cfsp_batch_matches_per_user_transmit(code96, mode, monkeypatch):
+    # J = 1 gives SF no shift; J = m = 8 leaves DF and PA no silent slot.
     rng = np.random.default_rng(21)
-    cfg = make_cfg(code96, 8, 4, 5, mode, mu_pas=4.0 if mode == "PA" else 1.0, p_avg=1.3)
-    bits = rng.integers(0, 2, size=(7, 5, 4), dtype=np.uint8)
-    r_fast = transmit_cfsp_batch(bits, cfg)
-    for i in range(7):
-        assert np.allclose(r_fast[i], transmit(bits[i], cfg).sum(axis=0))
-    # 7 frames and 64 parity columns: a budget of 900 elements takes the
-    # 5 users two at a time, and the sum must not change by a bit.
-    monkeypatch.setattr(ffma_system, "_CHUNK", 900)
-    assert transmit_cfsp_batch(bits, cfg).tobytes() == r_fast.tobytes()
+    for j_users in (1, 5, 8):
+        cfg = make_cfg(code96, 8, 4, j_users, mode, mu_pas=4.0 if mode == "PA" else 1.0)
+        bits = rng.integers(0, 2, size=(7, j_users, 4), dtype=np.uint8)
+        r_fast = transmit_cfsp_batch(bits, cfg)
+        for i in range(7):
+            assert np.allclose(r_fast[i], transmit(bits[i], cfg).sum(axis=0)), j_users
+        # The receiver knows exactly the silent DF/PA slots [J*k, m*k).
+        llr = ffma_system._bit_priors(r_fast + rng.normal(0.0, 0.5, r_fast.shape), cfg)
+        silent = np.zeros(cfg.n, dtype=bool)
+        if mode != "SF":
+            silent[j_users * 4 : 32] = True
+        assert (llr[:, silent] == np.inf).all() and np.isfinite(llr[:, ~silent]).all()
+        # 7 frames and 64 parity columns: a budget of 900 elements takes the
+        # users two at a time, and the sum must not change by a bit.
+        with monkeypatch.context() as patch:
+            patch.setattr(ffma_system, "_CHUNK", 900)
+            assert transmit_cfsp_batch(bits, cfg).tobytes() == r_fast.tobytes(), j_users
 
 
 @pytest.mark.parametrize("j_users", [1, 30, 300])

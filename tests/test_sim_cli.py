@@ -39,6 +39,9 @@ def test_spec_validation():
         tiny_spec(max_frames=5)
     with pytest.raises(ValueError):
         tiny_spec(snr_ref="snr")
+    for mu_pas in (9.0, 0.5):  # PA needs 1 <= mu_pas <= m = 8
+        with pytest.raises(ValueError):
+            tiny_spec(system="PA", mu_pas=mu_pas)
     aloha = tiny_spec(system="ALOHA", m=0, j_list=(2,))
     assert aloha.m == 0  # m unused for the baseline
 
@@ -244,6 +247,43 @@ def test_negative_max_iter_rejected(tmp_path, capsys):
     code = LinearCode.generate(96, 32, col_weight=3, seed=3)
     with pytest.raises(ValueError):
         make_system(n=96, k=4, m=8, j_users=2, mode="DF", code=code, max_iter=-1)
+
+
+def test_cli_rejects_bad_mu_pas_before_building_code(tmp_path, monkeypatch, capsys):
+    def no_code(*args, **kwargs):
+        raise AssertionError("the code was built before mu_pas was checked")
+
+    monkeypatch.setattr(LinearCode, "generate", no_code)
+    out = tmp_path / "pa.csv"
+    for mu_pas in ("9", "0"):  # outside 1 <= mu_pas <= m = 8
+        rc = main([
+            "-q", "run", "--system", "PA", "--n", "96", "--k", "4", "--m", "8",
+            "--j", "2", "--snr", "0", "--mu-pas", mu_pas, "--out", str(out),
+        ])
+        assert rc == 2 and not out.exists()
+    assert "mu_pas" in capsys.readouterr().err
+
+
+def test_cli_timing(tmp_path):
+    argv = [
+        "-q", "run", "--system", "SF", "--n", "96", "--k", "4", "--m", "8",
+        "--j", "2", "--snr", "0,6", "--snr-ref", "esn0", "--seed", "3",
+        "--min-frames", "40", "--max-frames", "40",
+    ]
+    cfgfile = _write(tmp_path / "timing.cfg", "record_timing = yes\n")
+    runs = {
+        "flag": argv + ["--timing"],
+        "config": argv + ["--config", str(cfgfile)],
+        "default": argv,
+    }
+    wall = {}
+    for name, args in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        wall[name] = [row["wall_s"] for row in read_csv(out)]
+    assert any(w > 0 for w in wall["flag"])
+    assert any(w > 0 for w in wall["config"])
+    assert wall["default"] == [0.0, 0.0]
 
 
 def test_cli_config_file(tmp_path):
