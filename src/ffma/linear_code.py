@@ -7,8 +7,8 @@ Provides:
   by GF(2) Gaussian elimination (columns are permuted so the information
   section always occupies the first k coordinates);
 * sum-product belief-propagation decoding in the log-likelihood domain,
-  flooding schedule, early exit on a zero syndrome, batched over many
-  frames at once;
+  flooding schedule, early exit on a zero syndrome or on an exact
+  message cycle, batched over many frames at once;
 * alist text interchange for sparse parity-check matrices.
 
 The decoder runs on one flat edge list in check order (Richardson &
@@ -23,6 +23,9 @@ only zero) still receives the product of the rest.  Row v of
 message, summed as slot 0 + (slot 1 + slot 2 + ...): reduceat's order
 for up to 8 edges.  Syndromes use a cached uint8 CSR ``H`` (parity
 survives the wrap-around); loop buffers are reallocated only on a squeeze.
+A frame whose check messages repeat a snapshot bit for bit (Brent's cycle
+detection, snapshots at iterations 8, 16, 32, ...) leaves at the iteration
+whose decisions the full run would end on.
 
 Bit/LLR conventions: codeword bits are 0/1; decoder inputs and internal
 messages are log-likelihood ratios ``log(P(0)/P(1))`` clamped to +-40.
@@ -326,7 +329,15 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     Returns the (batch, n) hard decisions and a (batch,) flag telling
     whether each frame's syndrome was zero (its decisions are returned
     regardless).  Converged frames are squeezed out of the working set
-    each iteration, so the cost is dominated by the hardest frames.
+    each iteration.
+
+    So are frames caught in a message cycle, with the decisions the full
+    run would return.  With L0 fixed, a frame's state after iteration t is
+    its check messages Lr_t, and one iteration maps it to the next.  If
+    Lr_t equals an earlier Lr_c bit for bit, the frame repeats with period
+    p = t - c, and every state of the cycle has already failed the
+    syndrome test.  The full run would end unconverged on the decisions of
+    iteration t + ((max_iter - 1 - t) mod p), so the frame leaves there.
     """
     llr0 = np.asarray(llr, dtype=np.float64)
     if llr0.ndim != 2 or llr0.shape[1] != pcm.n:
@@ -351,7 +362,13 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     L0 = llr0[active]
     Lq = np.take(L0, edge_var, axis=1)
     Lr = np.empty(0)
-    for _ in range(max_iter):
+    # Cycle exit: at iterations 8, 16, 32, ... (Brent's powers of two) Lr
+    # is copied into `snap`, frame i's messages into row snap_row[i]; a
+    # squeeze shrinks snap_row, not snap.  A frame found back in its
+    # snapshot state leaves at iteration `leave`.
+    snap, snap_at = None, 0
+    snap_row, leave = np.arange(active.size), np.full(active.size, max_iter)
+    for it in range(max_iter):
         if Lr.shape[0] != active.size:  # first pass, or frames squeezed out
             Lr = np.empty_like(Lq)
             prod = np.empty((active.size, pcm.n_checks))
@@ -376,6 +393,23 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
         np.clip(Lr, -LLR_CLAMP, LLR_CLAMP, out=Lr)
         Lr[:, -1] = -0.0
 
+        # Bit-for-bit repeat of the snapshot: period it - snap_at, so the
+        # full run would end on the decisions of the iteration in phase
+        # with max_iter - 1.  The first 64 messages screen the frames.
+        if snap is not None:
+            head = snap[snap_row, :64].view(np.int64)
+            maybe = np.flatnonzero((Lr[:, :64].view(np.int64) == head).all(axis=1))
+            if maybe.size:
+                whole = snap[snap_row[maybe]].view(np.int64)
+                cycling = maybe[(Lr[maybe].view(np.int64) == whole).all(axis=1)]
+                leave[cycling] = it + (max_iter - 1 - it) % (it - snap_at)
+        if it >= 8 and it & (it - 1) == 0:
+            if snap is None:
+                snap = np.empty_like(Lr)
+            snap[:active.size] = Lr
+            snap_row = np.arange(active.size)
+            snap_at = it
+
         # Variable-node update and posterior: L0 + (slot 0 + (slot 1 + ...)).
         post.fill(-0.0)
         for j in [*range(1, pcm.var_slots.shape[1]), 0]:
@@ -386,17 +420,18 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
 
         hard = (post < 0).view(np.uint8)
         ok = _checks_satisfied(hard, pcm) & ~(post == 0).any(axis=1)
-        if ok.any():
-            done = active[ok]
-            bits_out[done] = hard[ok]
-            conv[done] = True
-            keep = ~ok
+        done = ok | (leave == it)
+        if done.any():
+            bits_out[active[done]] = hard[done]
+            conv[active[ok]] = True
+            keep = ~done
             active = active[keep]
             if active.size == 0:
                 break
             L0 = L0[keep]
             Lq = Lq[keep]
             hard = hard[keep]
+            snap_row, leave = snap_row[keep], leave[keep]
     if active.size:
         bits_out[active] = hard
     return bits_out, conv

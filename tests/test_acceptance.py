@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The desk-scale trend
 criteria (7a-7d) share one set of Monte-Carlo sweeps collected by a
 module-scoped fixture; with two workers on 2 CPUs the whole module takes
-about 4 minutes (215-250 s measured, 176-208 s of it in those sweeps).
+about 2 minutes (107 s measured, 85 s of it in those sweeps).
 """
 
 import dataclasses

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bp_oracle import padded_bp_decode_batch
+from ffma import linear_code
 from ffma.ffma_system import _bit_priors, make_system, transmit_cfsp_batch
 from ffma.linear_code import (
     LinearCode,
@@ -215,13 +216,45 @@ def test_bp_matches_padded_oracle(toy_code, desk_code, tmp_path):
         (desk_code.pcm, _receiver_llr(desk_code, "SF", 0.5)),
         # ~70 % of these frames converge part-way: squeezes mid-decode.
         (desk_code.pcm, _receiver_llr(desk_code, "DF", 0.0)),
+        # Most of these frames fall into a message cycle by iteration ~11;
+        # 9, 17 and 23 make them leave it off-phase.
         (desk_code.pcm, _receiver_llr(desk_code, "PA", -12.0, mu_pas=60.0)),
     ]
     for pcm, llr in cases:
-        for max_iter in (0, 1, 50):
+        for max_iter in (0, 1, 9, 17, 23, 50):
             bits, conv = bp_decode_batch(llr, pcm, max_iter)
             ref_bits, ref_conv = padded_bp_decode_batch(llr, pcm, max_iter)
             assert (bits == ref_bits).all() and (conv == ref_conv).all(), (pcm.n, max_iter)
+
+
+def test_bp_cycle_exit_keeps_oscillating_decisions():
+    # These frames' messages settle into a period-2 cycle whose hard
+    # decisions flip every iteration, so a frame that left the cycle on
+    # the wrong phase would return the other half's bits.
+    pcm, _ = ldpc_construct(n=8, k=4, col_weight=3, seed=1)
+    llr = np.array([[-3, -3, 3, 3, -3, 3, 3, -3],
+                    [-3, 3, -3, 3, 3, -3, 3, -3],
+                    [3, -3, -3, 3, 3, 3, -3, -3]], dtype=np.float64)
+    for max_iter in range(1, 61):
+        bits, conv = bp_decode_batch(llr, pcm, max_iter)
+        ref_bits, ref_conv = padded_bp_decode_batch(llr, pcm, max_iter)
+        assert (bits == ref_bits).all() and (conv == ref_conv).all(), max_iter
+
+
+def test_bp_cycle_exit_fires_on_pa(desk_code, monkeypatch):
+    # Without the cycle exit every one of these frames runs all 50
+    # iterations; with it, most leave soon after their cycle is found.
+    rows = []
+    checks_satisfied = linear_code._checks_satisfied
+
+    def counting(hard, pcm):
+        rows.append(hard.shape[0])
+        return checks_satisfied(hard, pcm)
+
+    monkeypatch.setattr(linear_code, "_checks_satisfied", counting)
+    llr = _receiver_llr(desk_code, "PA", -12.0, mu_pas=60.0)
+    bp_decode_batch(llr, desk_code.pcm, 50)
+    assert sum(rows[1:]) <= 0.5 * 50 * llr.shape[0]
 
 
 def test_syndrome_counts_ones_per_check(toy_code, desk_code):
