@@ -15,7 +15,6 @@ from .experiment import BerPoint, ExperimentSpec, emit_plot_data, run_experiment
 from .ffma_system import (
     SystemConfig,
     cfsp_posterior,
-    make_system,
     pa_power_allocation,
     receive_batch,
     transmit_cfsp_batch,
@@ -24,10 +23,8 @@ from .gf2m import BasisGF2m
 from .linear_code import (
     LinearCode,
     ParityCheckMatrix,
-    SystematicGenerator,
     bp_decode_batch,
     encode,
-    ldpc_construct,
     load_alist,
     save_alist,
 )

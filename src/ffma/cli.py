@@ -14,19 +14,16 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import typing
 
 from .analysis import gain_figures
 from .experiment import ExperimentSpec, emit_plot_data, run_experiment
 
 log = logging.getLogger(__name__)
 
-_LIST_KEYS = {"j_list", "snr_grid"}
-_INT_KEYS = {
-    "n", "k", "m", "min_frames", "max_frames", "min_bit_errors",
-    "max_iter", "seed", "col_weight", "workers", "batch_frames",
-}
-_FLOAT_KEYS = {"mu_pas"}
-_BOOL_KEYS = {"record_timing"}
+# Each spec field's type, resolved from its annotation (a string under
+# postponed evaluation); the spec itself converts a tuple's items.
+_FIELD_TYPES = typing.get_type_hints(ExperimentSpec)
 
 
 def parse_config_file(path) -> dict:
@@ -47,16 +44,12 @@ def parse_config_file(path) -> dict:
 def _coerce(key: str, value):
     if not isinstance(value, str):
         return value
-    if key in _LIST_KEYS:
-        return tuple(float(v) if key == "snr_grid" else int(v)
-                     for v in value.replace(",", " ").split())
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
+    kind = _FIELD_TYPES.get(key, str)
+    if kind is tuple:
+        return tuple(value.replace(",", " ").split())
+    if kind is bool:
         return value.strip().lower() in ("1", "true", "yes", "on")
-    return value
+    return kind(value)
 
 
 def build_spec(config: dict, overrides: dict) -> ExperimentSpec:

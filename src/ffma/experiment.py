@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import polarization_gain_db, repetition_gain_db
 from .baseline_aloha import AlohaConfig, aloha_cfsp_batch, aloha_receive_batch
-from .ffma_system import make_system, receive_batch, transmit_cfsp_batch
+from .ffma_system import SystemConfig, receive_batch, transmit_cfsp_batch
 from .linear_code import LinearCode
 
 log = logging.getLogger(__name__)
@@ -75,6 +75,8 @@ class ExperimentSpec:
             raise ValueError("j_list must not be empty")
         if min(self.j_list) < 1:
             raise ValueError("user counts must be >= 1")
+        if self.n < 1 or self.k < 1:
+            raise ValueError(f"n and k must be >= 1, got n={self.n}, k={self.k}")
         if self.system != "ALOHA":
             if self.m < 1:
                 raise ValueError("FFMA systems need the extension degree m")
@@ -175,10 +177,9 @@ def _simulate_batch(
         y = r + noise_rng.normal(0.0, sigma, size=r.shape)
         rx = aloha_receive_batch(y, cfg)
     else:
-        cfg = make_system(
-            n=spec.n, k=spec.k, m=spec.m, j_users=j_users, mode=spec.system,
-            code=code, mu_pas=spec.mu_pas, n0=n0,
-            max_iter=spec.max_iter,
+        cfg = SystemConfig(
+            code=code, k=spec.k, j_users=j_users, mode=spec.system,
+            mu_pas=spec.mu_pas, n0=n0, max_iter=spec.max_iter,
         )
         r = transmit_cfsp_batch(bits, cfg)
         y = r + noise_rng.normal(0.0, sigma, size=r.shape)

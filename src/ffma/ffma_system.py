@@ -49,18 +49,19 @@ MODES = ("SF", "DF", "PA")
 
 @dataclass
 class SystemConfig:
-    """Scenario parameters binding users and a mode to a code, plus the
-    mode's layout (the init=False fields; see the module docstring)."""
+    """Users and a mode bound to a code, plus what follows from them (the
+    init=False fields): n = code.n, m = code.k / k and the mode's layout
+    (see the module docstring)."""
 
-    n: int
+    code: LinearCode
     k: int
-    m: int
     j_users: int
     mode: str
-    code: LinearCode
     mu_pas: float = 1.0
     n0: float = 1.0
     max_iter: int = 50
+    n: int = field(init=False)
+    m: int = field(init=False)
     user_pos: np.ndarray = field(init=False, repr=False, compare=False)
     n_info: int = field(init=False, repr=False, compare=False)
     shift: float = field(init=False, repr=False, compare=False)
@@ -70,12 +71,11 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.m * self.k != self.code.k:
+        if self.k < 1 or self.code.k % self.k:
             raise ValueError(
-                f"code message length {self.code.k} != m*k = {self.m * self.k}"
+                f"k={self.k} must be >= 1 and divide the code message length {self.code.k}"
             )
-        if self.n != self.code.n:
-            raise ValueError(f"blocklength {self.n} != code length {self.code.n}")
+        self.n, self.m = self.code.n, self.code.k // self.k
         if not 1 <= self.j_users <= self.m:
             raise ValueError(f"j_users={self.j_users} out of range [1, m={self.m}]")
         if self.n0 <= 0:
@@ -94,28 +94,6 @@ class SystemConfig:
             self.shift = 0.0
         mu1, mu2 = pa_power_allocation(self) if self.mode == "PA" else (1.0, 1.0)
         self.a_info, self.a_par = math.sqrt(mu1), math.sqrt(mu2)
-
-
-def make_system(
-    n: int,
-    k: int,
-    m: int,
-    j_users: int,
-    mode: str,
-    code: LinearCode | None = None,
-    mu_pas: float = 1.0,
-    n0: float = 1.0,
-    seed: int = 0,
-    col_weight: int = 3,
-    max_iter: int = 50,
-) -> SystemConfig:
-    """Assemble a SystemConfig, generating the code if none is given."""
-    if code is None:
-        code = LinearCode.generate(n, m * k, col_weight=col_weight, seed=seed)
-    return SystemConfig(
-        n=n, k=k, m=m, j_users=j_users, mode=mode, code=code,
-        mu_pas=mu_pas, n0=n0, max_iter=max_iter,
-    )
 
 
 def pa_power_allocation(cfg: SystemConfig) -> tuple[float, float]:
@@ -164,7 +142,7 @@ def transmit_cfsp_batch(bits, cfg: SystemConfig) -> np.ndarray:
     r[:, cfg.user_pos.reshape(-1)] = bits.reshape(B, -1)
     ni = cfg.n_info
     r[:, :ni] = cfg.a_info * (2.0 * r[:, :ni] - 1.0) - cfg.shift
-    parity = _parity_ones(bits, cfg.code.gen.parity, cfg.user_pos)
+    parity = _parity_ones(bits, cfg.code.parity, cfg.user_pos)
     r[:, cfg.m * cfg.k:] = cfg.a_par * (2.0 * parity - float(cfg.j_users))
     return r
 

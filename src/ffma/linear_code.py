@@ -2,9 +2,10 @@
 
 Provides:
 
-* girth-aware random LDPC construction (progressive edge growth with
-  seeded tie-breaking) plus reduction to systematic form ``G = [I | P]``
-  by GF(2) Gaussian elimination (columns are permuted so the information
+* ``LinearCode``, a parity-check matrix with the part P of its generator
+  ``G = [I | P]``: girth-aware random LDPC construction (progressive edge
+  growth with seeded tie-breaking) plus reduction to systematic form by
+  GF(2) Gaussian elimination (columns are permuted so the information
   section always occupies the first k coordinates);
 * sum-product belief-propagation decoding in the log-likelihood domain,
   flooding schedule, early exit on a zero syndrome or on an exact
@@ -39,6 +40,7 @@ import numpy as np
 import scipy.sparse
 
 LLR_CLAMP = 40.0
+_MAX_ATTEMPTS = 20  # PEG graphs drawn, seeded (seed, attempt), before giving up
 
 
 class ParityCheckMatrix:
@@ -90,103 +92,80 @@ class ParityCheckMatrix:
 
 
 @dataclass
-class SystematicGenerator:
-    """Generator ``[I | P]`` of a systematic (n, k) code.
+class LinearCode:
+    """A systematic (n, k) code: a parity-check matrix and its generator [I | P].
 
-    ``col_perm[i]`` records which column of the originally constructed
-    (or loaded) parity-check matrix sits at systematic position i; the
-    matching permuted matrix is the one bundled alongside this generator.
+    ``parity`` is the (k, n - k) part P.  ``col_perm[i]`` records which
+    column of the originally constructed (or loaded) parity-check matrix
+    sits at systematic position i; ``pcm`` is the permuted matrix.
     """
 
-    k_total: int
-    n: int
+    pcm: ParityCheckMatrix
     parity: np.ndarray
-    col_perm: np.ndarray | None = None
+    col_perm: np.ndarray
 
     def __post_init__(self) -> None:
         self.parity = np.asarray(self.parity, dtype=np.uint8)
-        if self.parity.shape != (self.k_total, self.n - self.k_total):
+        shape = (self.pcm.n - self.pcm.n_checks, self.pcm.n_checks)
+        if self.parity.shape != shape:
             raise ValueError(
-                f"parity part must be {self.k_total}x{self.n - self.k_total}, "
-                f"got {self.parity.shape}"
+                f"parity part must be {shape[0]}x{shape[1]}, got {self.parity.shape}"
             )
-
-
-@dataclass
-class LinearCode:
-    """A parity-check matrix with its systematic generator."""
-
-    pcm: ParityCheckMatrix
-    gen: SystematicGenerator
 
     @property
     def n(self) -> int:
-        return self.gen.n
+        return self.pcm.n
 
     @property
     def k(self) -> int:
-        return self.gen.k_total
+        return self.parity.shape[0]
 
     @classmethod
     def generate(cls, n: int, k: int, col_weight: int = 3, seed: int = 0) -> "LinearCode":
-        pcm, gen = ldpc_construct(n, k, col_weight=col_weight, seed=seed)
-        return cls(pcm, gen)
+        """Build a random near-regular LDPC code in systematic form.
+
+        Edges are placed by progressive edge growth: each new edge goes to a
+        check as far as possible (in graph distance) from the variable, with
+        minimum-degree tie-breaks resolved by the seeded generator.  That
+        keeps short cycles out and the check degrees nearly uniform.  After
+        graph construction the matrix is put in systematic form; a column
+        permutation moves the k information positions to the front.
+
+        Raises ``ValueError`` for invalid dimensions or if every one of the
+        ``_MAX_ATTEMPTS`` graphs was rank deficient.
+        """
+        if k >= n:
+            raise ValueError(f"need k < n, got k={k}, n={n}")
+        if k < 1:
+            raise ValueError(f"need k >= 1, got k={k}")
+        n_checks = n - k
+        if col_weight < 2:
+            raise ValueError(f"need col_weight >= 2, got {col_weight}")
+        if col_weight > n_checks:
+            raise ValueError(f"col_weight={col_weight} exceeds check count {n_checks}")
+
+        for attempt in range(_MAX_ATTEMPTS):
+            rng = np.random.default_rng((seed, attempt))
+            chk_adj = _peg_graph(n, n_checks, col_weight, rng)
+            code = _systematize(ParityCheckMatrix(n, chk_adj))
+            if code is not None:
+                return code
+        raise ValueError(
+            f"could not reach full rank in {_MAX_ATTEMPTS} attempts "
+            f"(n={n}, k={k}, col_weight={col_weight}, seed={seed})"
+        )
 
     @classmethod
     def from_alist(cls, path) -> "LinearCode":
-        pcm = load_alist(path)
-        k = pcm.n - pcm.n_checks
-        out = _systematize(pcm, k)
-        if out is None:
+        code = _systematize(load_alist(path))
+        if code is None:
             raise ValueError(f"parity-check matrix in {path} is rank deficient")
-        return cls(*out)
+        return code
 
 
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
-
-def ldpc_construct(
-    n: int,
-    k: int,
-    col_weight: int = 3,
-    seed: int = 0,
-    max_attempts: int = 20,
-) -> tuple[ParityCheckMatrix, SystematicGenerator]:
-    """Build a random near-regular LDPC code in systematic form.
-
-    Edges are placed by progressive edge growth: each new edge goes to a
-    check as far as possible (in graph distance) from the variable, with
-    minimum-degree tie-breaks resolved by the seeded generator.  That
-    keeps short cycles out and the check degrees nearly uniform.  After
-    graph construction the matrix is put in systematic form; a column
-    permutation moves the k information positions to the front.
-
-    Raises ``ValueError`` for invalid dimensions or if every attempt in
-    the retry budget produced a rank-deficient matrix.
-    """
-    if k >= n:
-        raise ValueError(f"need k < n, got k={k}, n={n}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
-    n_checks = n - k
-    if col_weight < 2:
-        raise ValueError(f"need col_weight >= 2, got {col_weight}")
-    if col_weight > n_checks:
-        raise ValueError(f"col_weight={col_weight} exceeds check count {n_checks}")
-
-    for attempt in range(max_attempts):
-        rng = np.random.default_rng((seed, attempt))
-        chk_adj = _peg_graph(n, n_checks, col_weight, rng)
-        pcm = ParityCheckMatrix(n, chk_adj)
-        out = _systematize(pcm, k)
-        if out is not None:
-            return out
-    raise ValueError(
-        f"could not reach full rank in {max_attempts} attempts "
-        f"(n={n}, k={k}, col_weight={col_weight}, seed={seed})"
-    )
-
 
 def _peg_graph(n: int, n_checks: int, col_weight: int, rng) -> list[list[int]]:
     """Progressive-edge-growth placement; returns per-check column lists."""
@@ -244,14 +223,13 @@ def _peg_candidates(v: int, var_adj, chk_adj, n_checks: int) -> np.ndarray:
             return np.flatnonzero(~covered)
 
 
-def _systematize(
-    pcm: ParityCheckMatrix, k: int
-) -> tuple[ParityCheckMatrix, SystematicGenerator] | None:
+def _systematize(pcm: ParityCheckMatrix) -> LinearCode | None:
     """Permute columns so the code is systematic-first; derive G = [I | P].
 
     Returns None if the matrix does not have full row rank.
     """
     n, n_checks = pcm.n, pcm.n_checks
+    k = n - n_checks
     rows = []
     for adj in pcm.row_adj:
         mask = 0
@@ -300,24 +278,22 @@ def _systematize(
             rest ^= low
 
     permuted_rows = [new_pos[adj] for adj in pcm.row_adj]
-    pcm_sys = ParityCheckMatrix(n, permuted_rows)
-    gen = SystematicGenerator(k_total=k, n=n, parity=parity, col_perm=perm)
-    return pcm_sys, gen
+    return LinearCode(ParityCheckMatrix(n, permuted_rows), parity, perm)
 
 
 # ---------------------------------------------------------------------------
 # Encoding / decoding
 # ---------------------------------------------------------------------------
 
-def encode(msg, gen: SystematicGenerator) -> np.ndarray:
+def encode(msg, code: LinearCode) -> np.ndarray:
     """Systematic encoding: codeword = (msg, msg @ P mod 2).
 
     ``msg`` may be a single message of length k or a (batch, k) array.
     """
     msg = np.asarray(msg)
-    if msg.shape[-1] != gen.k_total:
-        raise ValueError(f"message length {msg.shape[-1]} != k={gen.k_total}")
-    parity = (msg.astype(np.int64) @ gen.parity) & 1
+    if msg.shape[-1] != code.k:
+        raise ValueError(f"message length {msg.shape[-1]} != k={code.k}")
+    parity = (msg.astype(np.int64) @ code.parity) & 1
     return np.concatenate([msg.astype(np.uint8), parity.astype(np.uint8)], axis=-1)
 
 

@@ -36,7 +36,7 @@ def sf_transmit(bits, cfg: SystemConfig) -> np.ndarray:
     block = np.arange(cfg.k) * cfg.m
     for j in range(cfg.j_users):
         msgs[j, block + j] = bits[j]
-    codewords = encode(msgs, cfg.code.gen)
+    codewords = encode(msgs, cfg.code)
     return 2.0 * codewords - 1.0
 
 
@@ -44,7 +44,7 @@ def _diag_signals(bits: np.ndarray, cfg: SystemConfig, a_info: float, a_parity: 
     """User j sends its own slot j and the parity of its diagonal-form message."""
     x = np.zeros((cfg.j_users, cfg.n), dtype=np.float64)
     mk = cfg.m * cfg.k
-    P = cfg.code.gen.parity
+    P = cfg.code.parity
     for j in range(cfg.j_users):
         sl = slice(j * cfg.k, (j + 1) * cfg.k)
         parity = (bits[j].astype(np.int64) @ P[sl]) & 1

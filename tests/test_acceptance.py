@@ -20,7 +20,7 @@ from ffma.baseline_aloha import AlohaConfig, aloha_cfsp_batch, aloha_receive_bat
 from ffma.cli import main
 from ffma.ep_code import check_uspm, f_b2q, f_q2b, ffsp, orthogonal_ep_set
 from ffma.experiment import ExperimentSpec, run_experiment
-from ffma.ffma_system import cfsp_posterior, make_system, receive_batch, transmit_cfsp_batch
+from ffma.ffma_system import SystemConfig, cfsp_posterior, receive_batch, transmit_cfsp_batch
 from ffma.gf2m import BasisGF2m
 from ffma.linear_code import LinearCode, bp_decode_batch, encode
 
@@ -68,8 +68,8 @@ def test_criterion_2_orthogonal_encoding_identity():
         plane_msg = np.zeros((trials, m * k), dtype=np.uint8)
         plane_msg[:, np.arange(k) * m + j] = planes[:, j]
         msgs ^= plane_msg
-        rhs ^= encode(plane_msg, code.gen)
-    lhs = encode(msgs, code.gen)
+        rhs ^= encode(plane_msg, code)
+    lhs = encode(msgs, code)
     ok_identity = bool((lhs == rhs).all())
     elapsed = time.perf_counter() - t0
     ok = ok_identity and elapsed < 5.0
@@ -121,8 +121,8 @@ def test_criterion_4_noiseless_round_trip():
     failures = []
     for mode in ("SF", "DF", "PA"):
         for j_users in (1, 4, 8):
-            cfg = make_system(
-                n=96, k=4, m=8, j_users=j_users, mode=mode, code=code,
+            cfg = SystemConfig(
+                code, k=4, j_users=j_users, mode=mode,
                 mu_pas=8.0 if mode == "PA" else 1.0, n0=1e-4,
             )
             bits = rng.integers(0, 2, size=(trials, j_users, 4), dtype=np.uint8)
@@ -208,7 +208,7 @@ def test_criterion_6_single_user_consistency():
     frames = 0
     while frames < max_frames and (errors < 150 or frames < 500):
         msgs = rng.integers(0, 2, size=(batch, m * k), dtype=np.uint8)
-        cw = encode(msgs, code.gen)
+        cw = encode(msgs, code)
         y = (2.0 * cw - 1.0) + rng.normal(0.0, math.sqrt(n0 / 2.0), size=cw.shape)
         llr = -4.0 * y / n0
         dec, _conv = bp_decode_batch(llr, code.pcm, max_iter=50)

@@ -13,8 +13,8 @@ from per_user_tx import df_transmit, pa_transmit, sf_transmit, transmit
 import ffma.ffma_system as ffma_system
 from ffma.experiment import ExperimentSpec, per_user_frame_energy
 from ffma.ffma_system import (
+    SystemConfig,
     cfsp_posterior,
-    make_system,
     pa_power_allocation,
     receive_batch,
     transmit_cfsp_batch,
@@ -35,10 +35,6 @@ def code16():
 @pytest.fixture(scope="module")
 def code600():
     return LinearCode.generate(600, 300, col_weight=3, seed=7)
-
-
-def make_cfg(code, m, k, j_users, mode, **kw):
-    return make_system(n=code.n, k=k, m=m, j_users=j_users, mode=mode, code=code, **kw)
 
 
 def posterior_oracle(y, j_users, amplitude, n0):
@@ -166,7 +162,7 @@ def test_posterior_validation():
 # ---------------------------------------------------------------------------
 
 def test_pa_allocation_satisfies_power_constraint(code96):
-    cfg = make_cfg(code96, 8, 4, 4, "PA", mu_pas=8.0)
+    cfg = SystemConfig(code96, 4, 4, "PA", mu_pas=8.0)
     mu1, mu2 = pa_power_allocation(cfg)
     assert math.isclose(mu1 / mu2, 8.0, rel_tol=1e-12)
     assert math.isclose(cfg.n, cfg.k * mu1 + (cfg.n - cfg.m * cfg.k) * mu2, rel_tol=1e-12)
@@ -188,10 +184,10 @@ def test_pa_allocation_full_scale_values():
 
 def test_pa_allocation_bounds(code96):
     with pytest.raises(ValueError):
-        make_cfg(code96, 8, 4, 4, "PA", mu_pas=9.0)  # mu_pas > m
+        SystemConfig(code96, 4, 4, "PA", mu_pas=9.0)  # mu_pas > m
     with pytest.raises(ValueError):
-        make_cfg(code96, 8, 4, 4, "PA", mu_pas=0.5)
-    cfg_df = make_cfg(code96, 8, 4, 4, "DF")
+        SystemConfig(code96, 4, 4, "PA", mu_pas=0.5)
+    cfg_df = SystemConfig(code96, 4, 4, "DF")
     with pytest.raises(ValueError):
         pa_power_allocation(cfg_df)
 
@@ -199,7 +195,7 @@ def test_pa_allocation_bounds(code96):
 def test_pa_energy_conservation(code96):
     rng = np.random.default_rng(0)
     for mu in (1.0, 3.0, 8.0):
-        cfg = make_cfg(code96, 8, 4, 5, "PA", mu_pas=mu)
+        cfg = SystemConfig(code96, 4, 5, "PA", mu_pas=mu)
         bits = rng.integers(0, 2, size=(5, 4), dtype=np.uint8)
         x = pa_transmit(bits, cfg)
         spec = ExperimentSpec(system="PA", n=96, k=4, m=8, mu_pas=mu)
@@ -211,16 +207,16 @@ def test_pa_energy_conservation(code96):
 def test_pa_amplitude_ratio_and_degenerate_case(code96):
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, size=(4, 4), dtype=np.uint8)
-    cfg = make_cfg(code96, 8, 4, 4, "PA", mu_pas=4.0)
+    cfg = SystemConfig(code96, 4, 4, "PA", mu_pas=4.0)
     x = pa_transmit(bits, cfg)
     info = np.abs(x[0, :4][x[0, :4] != 0])
     par = np.abs(x[0, 32:])
     assert np.allclose(info.max() / par.max(), math.sqrt(4.0))
     # mu_pas = 1 makes both scales equal: PA = DF * sqrt(mu1)
-    cfg1 = make_cfg(code96, 8, 4, 4, "PA", mu_pas=1.0)
+    cfg1 = SystemConfig(code96, 4, 4, "PA", mu_pas=1.0)
     mu1, mu2 = pa_power_allocation(cfg1)
     assert math.isclose(mu1, mu2)
-    cfg_df = make_cfg(code96, 8, 4, 4, "DF")
+    cfg_df = SystemConfig(code96, 4, 4, "DF")
     assert np.allclose(pa_transmit(bits, cfg1), math.sqrt(mu1) * df_transmit(bits, cfg_df))
 
 
@@ -229,7 +225,7 @@ def test_pa_amplitude_ratio_and_degenerate_case(code96):
 # ---------------------------------------------------------------------------
 
 def test_sf_all_zero_and_antipodal_levels(code96):
-    cfg = make_cfg(code96, 8, 4, 3, "SF")
+    cfg = SystemConfig(code96, 4, 3, "SF")
     x = sf_transmit(np.zeros((3, 4), dtype=np.uint8), cfg)
     assert (x == -1.0).all()
     rng = np.random.default_rng(4)
@@ -240,7 +236,7 @@ def test_sf_all_zero_and_antipodal_levels(code96):
 def test_sf_two_user_ffsp_information_section(code16):
     # J = m = 2 users inside the m=4 field, k=2, both sending bit 1 in
     # block 0: the sum-pattern information section juxtaposes the bits.
-    cfg = make_cfg(code16, 4, 2, 2, "SF")
+    cfg = SystemConfig(code16, 2, 2, "SF")
     bits = np.zeros((2, 2), dtype=np.uint8)
     bits[0, 0] = 1
     bits[1, 0] = 1
@@ -253,7 +249,7 @@ def test_sf_two_user_ffsp_information_section(code16):
 
 
 def test_df_support_and_shortened_length(code96):
-    cfg = make_cfg(code96, 8, 4, 6, "DF")
+    cfg = SystemConfig(code96, 4, 6, "DF")
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, size=(6, 4), dtype=np.uint8)
     x = df_transmit(bits, cfg)
@@ -275,20 +271,20 @@ def test_df_shortened_length_headline_numbers():
 
 
 def test_df_parity_matches_padded_message_encoding(code96):
-    cfg = make_cfg(code96, 8, 4, 3, "DF")
+    cfg = SystemConfig(code96, 4, 3, "DF")
     rng = np.random.default_rng(6)
     bits = rng.integers(0, 2, size=(3, 4), dtype=np.uint8)
     x = df_transmit(bits, cfg)
     for j in range(3):
         padded = np.zeros(32, dtype=np.uint8)
         padded[j * 4 : (j + 1) * 4] = bits[j]
-        cw = encode(padded, code96.gen)
+        cw = encode(padded, code96)
         assert np.allclose(x[j, 32:], 2.0 * cw[32:] - 1.0)
 
 
 def test_transmit_mode_guards(code96):
-    cfg_sf = make_cfg(code96, 8, 4, 2, "SF")
-    cfg_df = make_cfg(code96, 8, 4, 2, "DF")
+    cfg_sf = SystemConfig(code96, 4, 2, "SF")
+    cfg_df = SystemConfig(code96, 4, 2, "DF")
     bits = np.zeros((2, 4), dtype=np.uint8)
     with pytest.raises(ValueError):
         sf_transmit(bits, cfg_df)
@@ -301,12 +297,16 @@ def test_transmit_mode_guards(code96):
 
 
 def test_config_validation(code96):
+    cfg = SystemConfig(code96, 4, 2, "SF")
+    assert (cfg.n, cfg.m) == (96, 8)  # n = code.n, m = code.k / k
+    assert (SystemConfig(code96, 32, 1, "DF").m, SystemConfig(code96, 1, 1, "DF").m) == (1, 32)
     with pytest.raises(ValueError):
-        make_cfg(code96, 8, 4, 9, "SF")  # J > m
+        SystemConfig(code96, 4, 9, "SF")  # J > m
+    for k in (0, -4, 5, 64):  # k < 1, or k does not divide code.k = 32
+        with pytest.raises(ValueError, match="divide the code message length 32"):
+            SystemConfig(code96, k, 2, "SF")
     with pytest.raises(ValueError):
-        make_cfg(code96, 8, 5, 2, "SF")  # m*k != code.k
-    with pytest.raises(ValueError):
-        make_cfg(code96, 8, 4, 2, "XX")
+        SystemConfig(code96, 4, 2, "XX")
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +316,8 @@ def test_config_validation(code96):
 @pytest.mark.parametrize("mode", ["SF", "DF", "PA"])
 @pytest.mark.parametrize("j_users", [1, 2, 8])
 def test_noiseless_round_trip(code96, mode, j_users):
-    cfg = make_cfg(
-        code96, 8, 4, j_users, mode,
+    cfg = SystemConfig(
+        code96, 4, j_users, mode,
         mu_pas=8.0 if mode == "PA" else 1.0, n0=1e-4,
     )
     rng = np.random.default_rng(100 + j_users)
@@ -329,7 +329,7 @@ def test_noiseless_round_trip(code96, mode, j_users):
 
 
 def test_inactive_user_flag(code96):
-    cfg = make_cfg(code96, 8, 4, 3, "SF", n0=1e-4)
+    cfg = SystemConfig(code96, 4, 3, "SF", n0=1e-4)
     bits = np.array([[[1, 0, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]]], dtype=np.uint8)
     rx, flags, _conv = receive_batch(transmit_cfsp_batch(bits, cfg), cfg)
     assert list(flags[0]) == [True, False, True]
@@ -339,7 +339,7 @@ def test_inactive_user_flag(code96):
 def test_noiseless_hard_map_equals_codeword_xor(code16):
     # exhaustive: superposed SF signals, thresholded posteriors, all J <= 4
     for j_users in (2, 4):
-        cfg = make_cfg(code16, 4, 2, j_users, "SF", n0=1e-3)
+        cfg = SystemConfig(code16, 2, j_users, "SF", n0=1e-3)
         for flat in itertools.product((0, 1), repeat=j_users * 2):
             bits = np.array(flat, dtype=np.uint8).reshape(j_users, 2)
             x = transmit(bits, cfg)
@@ -355,7 +355,7 @@ def test_noiseless_hard_map_equals_codeword_xor(code16):
 def test_receive_batch_matches_single(code96):
     # Frames are decoded independently: a batch gives what its frames give
     # as batches of one.
-    cfg = make_cfg(code96, 8, 4, 4, "DF", n0=0.4)
+    cfg = SystemConfig(code96, 4, 4, "DF", n0=0.4)
     rng = np.random.default_rng(11)
     bits = rng.integers(0, 2, size=(6, 4, 4), dtype=np.uint8)
     r = transmit_cfsp_batch(bits, cfg)
@@ -373,7 +373,7 @@ def test_cfsp_batch_matches_per_user_transmit(code96, mode, monkeypatch):
     # J = 1 gives SF no shift; J = m = 8 leaves DF and PA no silent slot.
     rng = np.random.default_rng(21)
     for j_users in (1, 5, 8):
-        cfg = make_cfg(code96, 8, 4, j_users, mode, mu_pas=4.0 if mode == "PA" else 1.0)
+        cfg = SystemConfig(code96, 4, j_users, mode, mu_pas=4.0 if mode == "PA" else 1.0)
         bits = rng.integers(0, 2, size=(7, j_users, 4), dtype=np.uint8)
         r_fast = transmit_cfsp_batch(bits, cfg)
         for i in range(7):
@@ -426,7 +426,7 @@ def test_transmit_and_detector_memory_flat_in_j(code600):
     # their uint8 copies; one float64 levels x samples block), plus arrays
     # the size of the batch.
     budget = ffma_system._CHUNK
-    cfg = make_system(n=600, k=1, m=300, j_users=300, mode="SF", code=code600)
+    cfg = SystemConfig(code600, k=1, j_users=300, mode="SF")
     bits = np.random.default_rng(23).integers(0, 2, size=(100, 300, 1), dtype=np.uint8)
     assert _traced_peak(transmit_cfsp_batch, bits, cfg) <= 8 * budget + 64 * 100 * 600
     y = np.random.default_rng(24).normal(0.0, 2.0, size=100 * 300)
@@ -435,7 +435,7 @@ def test_transmit_and_detector_memory_flat_in_j(code600):
 
 
 def test_receive_rejects_wrong_length(code96):
-    cfg = make_cfg(code96, 8, 4, 2, "SF")
+    cfg = SystemConfig(code96, 4, 2, "SF")
     with pytest.raises(ValueError):
         receive_batch(np.zeros((1, 95)), cfg)
     with pytest.raises(ValueError):
@@ -453,9 +453,8 @@ def test_sf_message_decisions_match_bpsk_q_function(code600, j_users, m, k):
     # decisions are uncoded BPSK: BER = Q(sqrt(2 Es/N0)) for every J.
     es_n0 = 10.0 ** (2.0 / 10.0)
     n0 = 1.0 / es_n0
-    cfg = make_system(
-        n=600, k=k, m=m, j_users=j_users, mode="SF", code=code600, n0=n0, max_iter=0,
-    )
+    cfg = SystemConfig(code600, k=k, j_users=j_users, mode="SF", n0=n0, max_iter=0)
+    assert cfg.m == m
     rng = np.random.default_rng(900 + j_users)
     frames = 60_000 // (j_users * k)
     errors = 0

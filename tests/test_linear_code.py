@@ -6,14 +6,13 @@ import pytest
 
 from bp_oracle import padded_bp_decode_batch
 from ffma import linear_code
-from ffma.ffma_system import _bit_priors, make_system, transmit_cfsp_batch
+from ffma.ffma_system import SystemConfig, _bit_priors, transmit_cfsp_batch
 from ffma.linear_code import (
     LinearCode,
     ParityCheckMatrix,
     _checks_satisfied,
     bp_decode_batch,
     encode,
-    ldpc_construct,
     load_alist,
     save_alist,
 )
@@ -25,8 +24,7 @@ TOY = dict(n=12, k=6, col_weight=3, seed=2)
 
 @pytest.fixture(scope="module")
 def toy_code():
-    pcm, gen = ldpc_construct(**TOY)
-    return pcm, gen
+    return LinearCode.generate(**TOY)
 
 
 def llr_from_p1(p1):
@@ -35,48 +33,60 @@ def llr_from_p1(p1):
         return np.log1p(-p1) - np.log(p1)
 
 
-def all_codewords(gen):
-    msgs = np.array(list(itertools.product([0, 1], repeat=gen.k_total)), dtype=np.uint8)
-    return msgs, encode(msgs, gen)
+def all_codewords(code):
+    msgs = np.array(list(itertools.product([0, 1], repeat=code.k)), dtype=np.uint8)
+    return msgs, encode(msgs, code)
 
 
 def test_construct_dimensions_and_weights(toy_code):
-    pcm, gen = toy_code
+    pcm = toy_code.pcm
     assert pcm.n_checks == 6 and pcm.n == 12
     assert (pcm.column_weights() == 3).all()
-    assert gen.parity.shape == (6, 6)
+    assert toy_code.parity.shape == (6, 6)
+    assert (toy_code.n, toy_code.k) == (12, 6)
+
+
+def test_linear_code_checks_parity_shape(toy_code):
+    # P of the (12, 6) toy code is (n - n_checks) x n_checks = 6x6.
+    for shape in ((5, 6), (6, 7), (36,)):
+        with pytest.raises(ValueError, match="parity part must be 6x6"):
+            LinearCode(toy_code.pcm, np.zeros(shape), toy_code.col_perm)
+    code = LinearCode(toy_code.pcm, toy_code.parity.astype(bool), toy_code.col_perm)
+    assert code.parity.dtype == np.uint8 and (code.n, code.k) == (12, 6)
 
 
 def test_generator_orthogonal_to_checks(toy_code):
-    pcm, gen = toy_code
+    pcm = toy_code.pcm
     H = pcm.to_dense()
-    msgs, cws = all_codewords(gen)
+    msgs, cws = all_codewords(toy_code)
     assert not (H @ cws.T % 2).any()
     assert (cws[:, :6] == msgs).all()  # systematic prefix
 
 
 def test_construct_rejects_bad_dimensions():
     with pytest.raises(ValueError):
-        ldpc_construct(12, 12, col_weight=3, seed=0)
+        LinearCode.generate(12, 12, col_weight=3, seed=0)
     with pytest.raises(ValueError):
-        ldpc_construct(12, 14, col_weight=3, seed=0)
+        LinearCode.generate(12, 14, col_weight=3, seed=0)
     with pytest.raises(ValueError):
-        ldpc_construct(12, 6, col_weight=1, seed=0)
+        LinearCode.generate(12, 0, col_weight=3, seed=0)
     with pytest.raises(ValueError):
-        ldpc_construct(12, 6, col_weight=7, seed=0)
+        LinearCode.generate(12, 6, col_weight=1, seed=0)
+    with pytest.raises(ValueError):
+        LinearCode.generate(12, 6, col_weight=7, seed=0)
 
 
 def test_construct_deterministic():
-    a = ldpc_construct(60, 30, col_weight=3, seed=11)
-    b = ldpc_construct(60, 30, col_weight=3, seed=11)
-    assert all((ra == rb).all() for ra, rb in zip(a[0].row_adj, b[0].row_adj))
-    assert (a[1].parity == b[1].parity).all()
-    c = ldpc_construct(60, 30, col_weight=3, seed=12)
-    assert any((ra != rc).any() for ra, rc in zip(a[0].row_adj, c[0].row_adj))
+    a = LinearCode.generate(60, 30, col_weight=3, seed=11)
+    b = LinearCode.generate(60, 30, col_weight=3, seed=11)
+    assert all((ra == rb).all() for ra, rb in zip(a.pcm.row_adj, b.pcm.row_adj))
+    assert (a.parity == b.parity).all() and (a.col_perm == b.col_perm).all()
+    c = LinearCode.generate(60, 30, col_weight=3, seed=12)
+    assert any((ra != rc).any() for ra, rc in zip(a.pcm.row_adj, c.pcm.row_adj))
 
 
 def test_girth_at_least_six_at_moderate_size():
-    pcm, _ = ldpc_construct(120, 60, col_weight=3, seed=4)
+    pcm = LinearCode.generate(120, 60, col_weight=3, seed=4).pcm
     # no 4-cycles: any two columns share at most one check
     seen = set()
     for c, checks in enumerate(pcm.col_adj):
@@ -86,52 +96,49 @@ def test_girth_at_least_six_at_moderate_size():
 
 
 def test_encode_linearity(toy_code):
-    _, gen = toy_code
     rng = np.random.default_rng(5)
-    zero = encode(np.zeros(6, dtype=np.uint8), gen)
+    zero = encode(np.zeros(6, dtype=np.uint8), toy_code)
     assert not zero.any()
     for _ in range(50):
         a = rng.integers(0, 2, 6, dtype=np.uint8)
         b = rng.integers(0, 2, 6, dtype=np.uint8)
-        assert (encode(a ^ b, gen) == encode(a, gen) ^ encode(b, gen)).all()
+        assert (encode(a ^ b, toy_code) == encode(a, toy_code) ^ encode(b, toy_code)).all()
 
 
 def test_encode_unit_message_is_generator_row(toy_code):
-    _, gen = toy_code
     e1 = np.zeros(6, dtype=np.uint8)
     e1[0] = 1
-    row = encode(e1, gen)
+    row = encode(e1, toy_code)
     assert row[0] == 1 and not row[1:6].any()
-    assert (row[6:] == gen.parity[0]).all()
+    assert (row[6:] == toy_code.parity[0]).all()
 
 
 def test_encode_length_mismatch(toy_code):
-    _, gen = toy_code
     with pytest.raises(ValueError):
-        encode(np.zeros(5, dtype=np.uint8), gen)
+        encode(np.zeros(5, dtype=np.uint8), toy_code)
 
 
 def test_bp_noiseless_is_identity(toy_code):
-    pcm, gen = toy_code
-    _, cws = all_codewords(gen)
+    pcm = toy_code.pcm
+    _, cws = all_codewords(toy_code)
     dec, conv = bp_decode_batch(llr_from_p1(cws[::7].astype(np.float64)), pcm)
     assert conv.all() and (dec == cws[::7]).all()
 
 
 def test_bp_uninformative_priors_do_not_converge(toy_code):
-    pcm, _ = toy_code
+    pcm = toy_code.pcm
     dec, conv = bp_decode_batch(llr_from_p1(np.full((1, 12), 0.5)), pcm, max_iter=30)
     assert not conv[0]
     assert not dec.any()  # zero LLRs resolve to bit 0
 
 
 def test_bp_corrects_single_flip_matches_nearest_codeword(toy_code):
-    pcm, gen = toy_code
-    msgs, cws = all_codewords(gen)
+    pcm = toy_code.pcm
+    msgs, cws = all_codewords(toy_code)
     w = cws.sum(axis=1)
     assert w[w > 0].min() >= 3, "toy code must have d_min >= 3"
     msg = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
-    cw = encode(msg, gen)
+    cw = encode(msg, toy_code)
     for flip in range(12):
         p1 = np.where(cw == 1, 0.99, 0.01)
         p1[flip] = 1.0 - p1[flip]
@@ -147,10 +154,10 @@ def test_bp_corrects_single_flip_matches_nearest_codeword(toy_code):
 def test_bp_batch_matches_single(toy_code):
     # Frames are decoded independently: a batch gives what its frames give
     # as batches of one.
-    pcm, gen = toy_code
+    pcm = toy_code.pcm
     rng = np.random.default_rng(8)
     msgs = rng.integers(0, 2, size=(16, 6), dtype=np.uint8)
-    cws = encode(msgs, gen)
+    cws = encode(msgs, toy_code)
     noisy = np.clip(np.where(cws == 1, 0.9, 0.1) + rng.normal(0, 0.05, cws.shape), 0.01, 0.99)
     batch_bits, batch_conv = bp_decode_batch(llr_from_p1(noisy), pcm, max_iter=20)
     for i in range(16):
@@ -162,8 +169,8 @@ def test_bp_batch_matches_single(toy_code):
 def test_bp_fills_erased_bits(toy_code):
     # An LLR of exactly 0 is an erasure: its check still hands it the
     # product of the other edges, which recovers the bit from the code.
-    pcm, gen = toy_code
-    cw = encode(np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8), gen)
+    pcm = toy_code.pcm
+    cw = encode(np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8), toy_code)
     for erased in [(i,) for i in range(12)] + [(0, 7)]:
         llr = np.where(cw == 1, -5.0, 5.0)
         llr[list(erased)] = 0.0
@@ -179,8 +186,7 @@ def desk_code():
 def _receiver_llr(code, mode, esn0_db, mu_pas=1.0, frames=100, seed=0):
     """Detector LLRs of `frames` noisy J=60 frames on the (600, 300) code."""
     n0 = 10.0 ** (-esn0_db / 10.0)
-    cfg = make_system(n=600, k=5, m=60, j_users=60, mode=mode, code=code,
-                      mu_pas=mu_pas, n0=n0)
+    cfg = SystemConfig(code, k=5, j_users=60, mode=mode, mu_pas=mu_pas, n0=n0)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(frames, 60, 5), dtype=np.uint8)
     y = transmit_cfsp_batch(bits, cfg) + rng.normal(0.0, math.sqrt(n0 / 2.0), (frames, 600))
@@ -210,7 +216,7 @@ def test_bp_matches_padded_oracle(toy_code, desk_code, tmp_path):
     irr_llr = 2.0 / 0.64 * (1.0 + rng.normal(0.0, 0.8, size=(300, 48)))
     irr_erased = np.where(rng.random(irr_llr.shape) < 0.1, 0.0, irr_llr)
     cases = [
-        (toy_code[0], toy_llr),
+        (toy_code.pcm, toy_llr),
         (irregular, irr_llr),
         (irregular, irr_erased),
         (desk_code.pcm, _receiver_llr(desk_code, "SF", 0.5)),
@@ -231,7 +237,7 @@ def test_bp_cycle_exit_keeps_oscillating_decisions():
     # These frames' messages settle into a period-2 cycle whose hard
     # decisions flip every iteration, so a frame that left the cycle on
     # the wrong phase would return the other half's bits.
-    pcm, _ = ldpc_construct(n=8, k=4, col_weight=3, seed=1)
+    pcm = LinearCode.generate(n=8, k=4, col_weight=3, seed=1).pcm
     llr = np.array([[-3, -3, 3, 3, -3, 3, 3, -3],
                     [-3, 3, -3, 3, 3, -3, 3, -3],
                     [3, -3, -3, 3, 3, 3, -3, -3]], dtype=np.float64)
@@ -259,8 +265,8 @@ def test_bp_cycle_exit_fires_on_pa(desk_code, monkeypatch):
 
 def test_syndrome_counts_ones_per_check(toy_code, desk_code):
     rng = np.random.default_rng(10)
-    desk_cws = encode(rng.integers(0, 2, (5, 300), dtype=np.uint8), desk_code.gen)
-    for pcm, cws in ((toy_code[0], all_codewords(toy_code[1])[1]), (desk_code.pcm, desk_cws)):
+    desk_cws = encode(rng.integers(0, 2, (5, 300), dtype=np.uint8), desk_code)
+    for pcm, cws in ((toy_code.pcm, all_codewords(toy_code)[1]), (desk_code.pcm, desk_cws)):
         hard = np.concatenate([rng.integers(0, 2, (200, pcm.n), dtype=np.uint8), cws])
         counts = pcm.to_dense().astype(np.int64) @ hard.T
         assert (counts >= 2).any()  # a count-or-OR mix-up would show
@@ -272,7 +278,7 @@ def test_syndrome_counts_ones_per_check(toy_code, desk_code):
 
 
 def test_alist_round_trip(tmp_path, toy_code):
-    pcm, _ = toy_code
+    pcm = toy_code.pcm
     path = tmp_path / "toy.alist"
     save_alist(pcm, path)
     loaded = load_alist(path)
@@ -309,16 +315,16 @@ def test_alist_malformed_rejected(tmp_path):
 
 
 def test_linear_code_from_alist(tmp_path):
-    pcm, _ = ldpc_construct(24, 12, col_weight=3, seed=1)
+    pcm = LinearCode.generate(24, 12, col_weight=3, seed=1).pcm
     path = tmp_path / "c.alist"
     save_alist(pcm, path)
     code = LinearCode.from_alist(path)
     assert code.n == 24 and code.k == 12
     H = code.pcm.to_dense()
     msgs = np.eye(12, dtype=np.uint8)
-    assert not (H @ encode(msgs, code.gen).T % 2).any()
+    assert not (H @ encode(msgs, code).T % 2).any()
     # permutation maps systematic columns back to the loaded matrix
-    perm = code.gen.col_perm
+    perm = code.col_perm
     loaded = load_alist(path).to_dense()
     assert (loaded[:, perm] == H).all()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import typing
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ffma.experiment import (
     read_csv,
     run_experiment,
 )
-from ffma.ffma_system import make_system
+from ffma.ffma_system import SystemConfig
 from ffma.linear_code import LinearCode
 
 
@@ -42,6 +43,10 @@ def test_spec_validation():
     for mu_pas in (9.0, 0.5):  # PA needs 1 <= mu_pas <= m = 8
         with pytest.raises(ValueError):
             tiny_spec(system="PA", mu_pas=mu_pas)
+    for system in ("SF", "ALOHA"):
+        for bad in ({"n": 0}, {"n": -96}, {"k": 0}, {"k": -4}):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                tiny_spec(system=system, **bad)
     aloha = tiny_spec(system="ALOHA", m=0, j_list=(2,))
     assert aloha.m == 0  # m unused for the baseline
 
@@ -108,11 +113,10 @@ def test_stopping_rule_bounds_confidence_width(tmp_path):
 
 
 def test_code_source_from_alist(tmp_path):
-    from ffma.linear_code import ldpc_construct, save_alist
+    from ffma.linear_code import save_alist
 
-    pcm, _ = ldpc_construct(96, 32, col_weight=3, seed=3)
     path = tmp_path / "code.alist"
-    save_alist(pcm, path)
+    save_alist(LinearCode.generate(96, 32, col_weight=3, seed=3).pcm, path)
     spec = tiny_spec(output=str(tmp_path / "r.csv"), code_source=str(path))
     points = run_experiment(spec)
     assert points and points[0].frames > 0
@@ -197,6 +201,26 @@ def test_config_file_parse_and_overrides(tmp_path):
         parse_config_file(_write(tmp_path / "bad.cfg", "system SF\n"))
 
 
+def test_config_file_sets_every_field_type(tmp_path):
+    # Each value is converted by its ExperimentSpec field type, so a field
+    # the file sets never reaches the spec as a raw string.
+    values = parse_config_file(_write(tmp_path / "all.cfg", (
+        "system = PA\nn = 96\nk = 4\nm = 8\nj_list = 2, 4\nsnr_grid = -1,0.5\n"
+        "mu_pas = 2.5\nmin_frames = 10\nmax_frames = 40\nmin_bit_errors = 5\n"
+        "max_iter = 7\nseed = 9\ncol_weight = 4\nworkers = 2\nbatch_frames = 20\n"
+        "record_timing = yes\n"
+    )))
+    spec = build_spec(values, {})
+    hints = typing.get_type_hints(ExperimentSpec)
+    set_fields = [f.name for f in dataclasses.fields(ExperimentSpec) if hints[f.name] is not str]
+    assert sorted(values) == sorted(set_fields + ["system"])
+    for name in set_fields:
+        assert type(getattr(spec, name)) is hints[name], name
+    assert spec.j_list == (2, 4) and spec.snr_grid == (-1.0, 0.5)
+    assert spec.mu_pas == 2.5 and spec.col_weight == 4 and spec.record_timing is True
+    assert build_spec(dict(values, record_timing="off"), {}).record_timing is False
+
+
 def _write(path, text):
     path.write_text(text)
     return path
@@ -232,6 +256,20 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cli_rejects_nonpositive_n_and_k(tmp_path, capsys):
+    # Rejected by the spec, before the ALOHA gain log divides by k or the
+    # code is built: exit 2 with the offending field named.
+    ffma = ["--m", "8", "--j", "2"]
+    for system, extra in (("ALOHA", []), ("SF", ffma), ("PA", ffma + ["--mu-pas", "2"])):
+        for field, value in (("n", "0"), ("k", "0"), ("n", "-96"), ("k", "-4")):
+            args = {"n": "96", "k": "4", field: value}
+            rc = main(["-q", "run", "--system", system, "--n", args["n"], "--k", args["k"],
+                       "--snr", "2", *extra, "--out", str(tmp_path / "x.csv")])
+            err = capsys.readouterr().err
+            assert rc == 2 and f"{field}={value}" in err, (system, field, err)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_negative_max_iter_rejected(tmp_path, capsys):
     # A negative iteration budget is an error, not a silent max_iter=0.
     out = tmp_path / "neg.csv"
@@ -246,7 +284,7 @@ def test_negative_max_iter_rejected(tmp_path, capsys):
         tiny_spec(max_iter=-1)
     code = LinearCode.generate(96, 32, col_weight=3, seed=3)
     with pytest.raises(ValueError):
-        make_system(n=96, k=4, m=8, j_users=2, mode="DF", code=code, max_iter=-1)
+        SystemConfig(code, k=4, j_users=2, mode="DF", max_iter=-1)
 
 
 def test_cli_rejects_bad_mu_pas_before_building_code(tmp_path, monkeypatch, capsys):
