@@ -15,7 +15,6 @@ from .experiment import BerPoint, ExperimentSpec, emit_plot_data, run_experiment
 from .ffma_system import (
     SystemConfig,
     cfsp_posterior,
-    pa_power_allocation,
     receive_batch,
     transmit_cfsp_batch,
 )

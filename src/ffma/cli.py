@@ -48,7 +48,10 @@ def _coerce(key: str, value):
     if kind is tuple:
         return tuple(value.replace(",", " ").split())
     if kind is bool:
-        return value.strip().lower() in ("1", "true", "yes", "on")
+        word = value.strip().lower()
+        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError(f"{key}={value!r} is not a boolean (1/true/yes/on or 0/false/no/off)")
+        return word in ("1", "true", "yes", "on")
     return kind(value)
 
 

@@ -183,7 +183,7 @@ def _simulate_batch(
         )
         r = transmit_cfsp_batch(bits, cfg)
         y = r + noise_rng.normal(0.0, sigma, size=r.shape)
-        rx, _flags, _conv = receive_batch(y, cfg)
+        rx, _conv = receive_batch(y, cfg)
 
     err = rx != bits
     return (

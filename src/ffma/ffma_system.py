@@ -27,11 +27,11 @@ The symbol power is 1.  The modes differ only in their layout, which
 * ``a_info``, ``a_par``: the amplitudes of sent message and parity
   coordinates, sqrt(mu1) and sqrt(mu2) in PA and 1 otherwise.
 
-The receiver converts the superposed channel output into per-coordinate
-LLRs log P(0)/P(1) of the finite-field sum-pattern codeword (see
-``_bit_priors``), hands them to one belief-propagation decode, and reads
-each user's bits back at ``user_pos``; a user decoding to all zeros is
-flagged inactive.
+The receiver turns the channel output into LLRs log P(0)/P(1) of the sent
+coordinates of the finite-field sum-pattern codeword (``_bit_priors``),
+decodes them by belief propagation on the code shortened to those
+coordinates (``LinearCode.shortened(n_info)``; the whole code in SF), and
+reads each user's bits back at ``user_pos``.
 """
 
 from __future__ import annotations
@@ -92,24 +92,13 @@ class SystemConfig:
             self.user_pos = j * self.k + k
             self.n_info = self.j_users * self.k
             self.shift = 0.0
-        mu1, mu2 = pa_power_allocation(self) if self.mode == "PA" else (1.0, 1.0)
-        self.a_info, self.a_par = math.sqrt(mu1), math.sqrt(mu2)
-
-
-def pa_power_allocation(cfg: SystemConfig) -> tuple[float, float]:
-    """Power scales (mu1, mu2) for information and parity symbols.
-
-    Solves the constant-total-power condition
-    ``n = k*mu1 + (n - m*k)*mu2`` with ``mu1/mu2 = mu_pas``.
-    """
-    if cfg.mode != "PA":
-        raise ValueError(f"power allocation applies to PA mode, got {cfg.mode}")
-    if not 1 <= cfg.mu_pas <= cfg.m:
-        raise ValueError(
-            f"power scaling factor {cfg.mu_pas} violates 1 <= mu_pas <= m={cfg.m}"
-        )
-    mu2 = cfg.n / (cfg.k * cfg.mu_pas + cfg.n - cfg.m * cfg.k)
-    return cfg.mu_pas * mu2, mu2
+        self.a_info = self.a_par = 1.0
+        if self.mode == "PA":  # total power n = k*mu1 + (n - m*k)*mu2, mu1/mu2 = mu_pas
+            if not 1 <= self.mu_pas <= self.m:
+                raise ValueError(
+                    f"power scaling factor {self.mu_pas} violates 1 <= mu_pas <= m={self.m}")
+            mu2 = self.n / (self.k * self.mu_pas + self.n - self.m * self.k)
+            self.a_info, self.a_par = math.sqrt(self.mu_pas * mu2), math.sqrt(mu2)
 
 
 # ---------------------------------------------------------------------------
@@ -281,33 +270,26 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
 
 
 def _bit_priors(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Per-coordinate LLR log P(0)/P(1) of the sum-pattern codeword, (batch, n).
+    """LLRs log P(0)/P(1) of the sum-pattern codeword's sent coordinates,
+    message [0, n_info) then parity [m*k, n): (batch, n_info + n - m*k).
 
     A sent message coordinate carries one unknown bit on top of the other
     users' known zero elements, so ``y + shift`` is one BPSK symbol of
-    amplitude ``a_info`` (SF planes without a user get the same model; the
-    receiver decides activity from the decoded message).  Silent message
-    coordinates are known to decode to zero.  Parity coordinates carry the
-    sum of J independent antipodal symbols and get the (J+1)-level
-    binomial mixture.
+    amplitude ``a_info`` (SF planes without a user get the same model).
+    Parity coordinates carry the sum of J independent antipodal symbols
+    and get the (J+1)-level binomial mixture.
     """
-    ni, mk = cfg.n_info, cfg.m * cfg.k
-    llr = np.full_like(y, np.inf)
-    llr[:, :ni] = cfsp_posterior(y[:, :ni] + cfg.shift, 1, cfg.a_info, cfg.n0)
-    llr[:, mk:] = cfsp_posterior(y[:, mk:], cfg.j_users, cfg.a_par, cfg.n0)
-    return llr
+    mk = cfg.m * cfg.k
+    return np.concatenate([cfsp_posterior(y[:, :cfg.n_info] + cfg.shift, 1, cfg.a_info, cfg.n0),
+                           cfsp_posterior(y[:, mk:], cfg.j_users, cfg.a_par, cfg.n0)], axis=1)
 
 
-def receive_batch(y, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode a (batch, n) block of channel outputs.
-
-    Returns (rx_bits, active_flags, converged) with shapes
-    (batch, J, k), (batch, J) and (batch,).
-    """
+def receive_batch(y, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a (batch, n) block of channel outputs into (rx_bits, converged),
+    of shapes (batch, J, k) and (batch,)."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != cfg.n:
         raise ValueError(f"y must be (batch, {cfg.n}), got {y.shape}")
     llr = _bit_priors(y, cfg)
-    v_hat, converged = bp_decode_batch(llr, cfg.code.pcm, cfg.max_iter)
-    rx_bits = v_hat[:, cfg.user_pos]
-    return rx_bits, rx_bits.any(axis=2), converged
+    v_hat, converged = bp_decode_batch(llr, cfg.code.shortened(cfg.n_info), cfg.max_iter)
+    return v_hat[:, cfg.user_pos], converged

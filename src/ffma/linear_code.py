@@ -5,8 +5,8 @@ Provides:
 * ``LinearCode``, a parity-check matrix with the part P of its generator
   ``G = [I | P]``: girth-aware random LDPC construction (progressive edge
   growth with seeded tie-breaking) plus reduction to systematic form by
-  GF(2) Gaussian elimination (columns are permuted so the information
-  section always occupies the first k coordinates);
+  GF(2) Gaussian elimination (the information section always occupies
+  the first k coordinates), shortened on its trailing message bits;
 * sum-product belief-propagation decoding in the log-likelihood domain,
   flooding schedule, early exit on a zero syndrome or on an exact
   message cycle, batched over many frames at once;
@@ -34,7 +34,7 @@ messages are log-likelihood ratios ``log(P(0)/P(1))`` clamped to +-40.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -103,6 +103,7 @@ class LinearCode:
     pcm: ParityCheckMatrix
     parity: np.ndarray
     col_perm: np.ndarray
+    _shortened: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.parity = np.asarray(self.parity, dtype=np.uint8)
@@ -111,6 +112,7 @@ class LinearCode:
             raise ValueError(
                 f"parity part must be {shape[0]}x{shape[1]}, got {self.parity.shape}"
             )
+        self._shortened = {self.k: self.pcm}
 
     @property
     def n(self) -> int:
@@ -119,6 +121,21 @@ class LinearCode:
     @property
     def k(self) -> int:
         return self.parity.shape[0]
+
+    def shortened(self, n_sent: int) -> ParityCheckMatrix:
+        """``pcm`` without the message columns [n_sent, k), whose bits are
+        zero and not sent; the kept columns are renumbered in order.  No
+        check loses all of its columns, since the parity part of ``pcm`` is
+        invertible.  Cached per n_sent; ``shortened(k)`` is ``pcm`` itself.
+        """
+        if n_sent not in self._shortened:
+            if not 0 <= n_sent <= self.k:
+                raise ValueError(f"n_sent={n_sent} out of range [0, k={self.k}]")
+            cut = self.k - n_sent
+            self._shortened[n_sent] = ParityCheckMatrix(self.n - cut, [
+                np.concatenate([row[row < n_sent], row[row >= self.k] - cut])
+                for row in self.pcm.row_adj])
+        return self._shortened[n_sent]
 
     @classmethod
     def generate(cls, n: int, k: int, col_weight: int = 3, seed: int = 0) -> "LinearCode":
@@ -300,12 +317,11 @@ def encode(msg, code: LinearCode) -> np.ndarray:
 def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sum-product decoding of a (batch, n) block of frames.
 
-    ``llr`` holds each coordinate's channel LLR ``log(P(0)/P(1))``;
-    infinite values (known bits) are clamped like any other to +-40.
-    Returns the (batch, n) hard decisions and a (batch,) flag telling
-    whether each frame's syndrome was zero (its decisions are returned
-    regardless).  Converged frames are squeezed out of the working set
-    each iteration.
+    ``llr`` holds each coordinate's channel LLR ``log(P(0)/P(1))``,
+    clamped to +-40.  Returns the (batch, n) hard decisions and a (batch,)
+    flag telling whether each frame's syndrome was zero (its decisions are
+    returned regardless).  Converged frames are squeezed out of the
+    working set each iteration.
 
     So are frames caught in a message cycle, with the decisions the full
     run would return.  With L0 fixed, a frame's state after iteration t is

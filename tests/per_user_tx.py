@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ffma.ffma_system import SystemConfig, pa_power_allocation
+from ffma.ffma_system import SystemConfig
 from ffma.linear_code import encode
 
 
@@ -71,7 +71,9 @@ def pa_transmit(bits, cfg: SystemConfig) -> np.ndarray:
     if cfg.mode != "PA":
         raise ValueError(f"pa_transmit needs mode PA, got {cfg.mode}")
     bits = _check_bits(bits, cfg)
-    mu1, mu2 = pa_power_allocation(cfg)
+    # Constant total power n = k*mu1 + (n - m*k)*mu2 with mu1 = mu_pas*mu2.
+    mu2 = cfg.n / (cfg.k * cfg.mu_pas + cfg.n - cfg.m * cfg.k)
+    mu1 = cfg.mu_pas * mu2
     return _diag_signals(bits, cfg, math.sqrt(mu1), math.sqrt(mu2))
 
 

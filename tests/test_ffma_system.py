@@ -12,14 +12,8 @@ from per_user_tx import df_transmit, pa_transmit, sf_transmit, transmit
 
 import ffma.ffma_system as ffma_system
 from ffma.experiment import ExperimentSpec, per_user_frame_energy
-from ffma.ffma_system import (
-    SystemConfig,
-    cfsp_posterior,
-    pa_power_allocation,
-    receive_batch,
-    transmit_cfsp_batch,
-)
-from ffma.linear_code import LinearCode, encode
+from ffma.ffma_system import SystemConfig, cfsp_posterior, receive_batch, transmit_cfsp_batch
+from ffma.linear_code import LinearCode, ParityCheckMatrix, encode
 
 
 @pytest.fixture(scope="module")
@@ -163,23 +157,23 @@ def test_posterior_validation():
 
 def test_pa_allocation_satisfies_power_constraint(code96):
     cfg = SystemConfig(code96, 4, 4, "PA", mu_pas=8.0)
-    mu1, mu2 = pa_power_allocation(cfg)
+    mu1, mu2 = cfg.a_info**2, cfg.a_par**2
     assert math.isclose(mu1 / mu2, 8.0, rel_tol=1e-12)
     assert math.isclose(cfg.n, cfg.k * mu1 + (cfg.n - cfg.m * cfg.k) * mu2, rel_tol=1e-12)
 
 
 def test_pa_allocation_full_scale_values():
-    # closed form only involves (n, k, m, mu_pas); duck-typed dims avoid
-    # constructing a (6000, 3000) code
-    class Dims:
-        n, k, m, mu_pas, mode = 6000, 10, 300, 300.0, "PA"
-
-    mu1, mu2 = pa_power_allocation(Dims)
-    assert math.isclose(mu1, 300.0) and math.isclose(mu2, 1.0)
-    Dims.mu_pas = 1.0
-    mu1, mu2 = pa_power_allocation(Dims)
+    # The closed form only involves (n, k, m, mu_pas), so a hand-made
+    # systematic (6000, 3000) code H = [I | I], P = I stands in for PEG.
+    eye = np.arange(3000)
+    code = LinearCode(ParityCheckMatrix(6000, np.stack([eye, eye + 3000], axis=1)),
+                      np.eye(3000, dtype=np.uint8), np.arange(6000))
+    cfg = SystemConfig(code, 10, 1, "PA", mu_pas=300.0)
+    assert (cfg.n, cfg.m) == (6000, 300)
+    assert math.isclose(cfg.a_info**2, 300.0) and math.isclose(cfg.a_par**2, 1.0)
+    cfg = SystemConfig(code, 10, 1, "PA", mu_pas=1.0)
     expect = 6000 / (6000 - 299 * 10)
-    assert math.isclose(mu1, expect) and math.isclose(mu2, expect)
+    assert math.isclose(cfg.a_info**2, expect) and math.isclose(cfg.a_par**2, expect)
 
 
 def test_pa_allocation_bounds(code96):
@@ -187,9 +181,8 @@ def test_pa_allocation_bounds(code96):
         SystemConfig(code96, 4, 4, "PA", mu_pas=9.0)  # mu_pas > m
     with pytest.raises(ValueError):
         SystemConfig(code96, 4, 4, "PA", mu_pas=0.5)
-    cfg_df = SystemConfig(code96, 4, 4, "DF")
-    with pytest.raises(ValueError):
-        pa_power_allocation(cfg_df)
+    cfg_df = SystemConfig(code96, 4, 4, "DF", mu_pas=9.0)  # mu_pas is PA's alone
+    assert cfg_df.a_info == cfg_df.a_par == 1.0
 
 
 def test_pa_energy_conservation(code96):
@@ -214,10 +207,9 @@ def test_pa_amplitude_ratio_and_degenerate_case(code96):
     assert np.allclose(info.max() / par.max(), math.sqrt(4.0))
     # mu_pas = 1 makes both scales equal: PA = DF * sqrt(mu1)
     cfg1 = SystemConfig(code96, 4, 4, "PA", mu_pas=1.0)
-    mu1, mu2 = pa_power_allocation(cfg1)
-    assert math.isclose(mu1, mu2)
+    assert math.isclose(cfg1.a_info, cfg1.a_par)
     cfg_df = SystemConfig(code96, 4, 4, "DF")
-    assert np.allclose(pa_transmit(bits, cfg1), math.sqrt(mu1) * df_transmit(bits, cfg_df))
+    assert np.allclose(pa_transmit(bits, cfg1), cfg1.a_info * df_transmit(bits, cfg_df))
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +314,19 @@ def test_noiseless_round_trip(code96, mode, j_users):
     )
     rng = np.random.default_rng(100 + j_users)
     bits = rng.integers(0, 2, size=(25, j_users, 4), dtype=np.uint8)
-    rx, flags, conv = receive_batch(transmit_cfsp_batch(bits, cfg), cfg)
+    rx, conv = receive_batch(transmit_cfsp_batch(bits, cfg), cfg)
     assert (rx == bits).all()
     assert conv.all()
-    assert (flags == bits.any(axis=2)).all()
 
 
-def test_inactive_user_flag(code96):
-    cfg = SystemConfig(code96, 4, 3, "SF", n0=1e-4)
+def test_all_zero_user_round_trip(code96):
+    # A user whose k bits are all 0 sends the zero element; its bits come
+    # back like anyone else's.
     bits = np.array([[[1, 0, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]]], dtype=np.uint8)
-    rx, flags, _conv = receive_batch(transmit_cfsp_batch(bits, cfg), cfg)
-    assert list(flags[0]) == [True, False, True]
-    assert list((rx != bits).sum(axis=2)[0]) == [0, 0, 0]
+    for mode in ("SF", "DF", "PA"):
+        cfg = SystemConfig(code96, 4, 3, mode, mu_pas=4.0 if mode == "PA" else 1.0, n0=1e-4)
+        rx, _conv = receive_batch(transmit_cfsp_batch(bits, cfg), cfg)
+        assert list((rx != bits).sum(axis=2)[0]) == [0, 0, 0], mode
 
 
 def test_noiseless_hard_map_equals_codeword_xor(code16):
@@ -360,12 +353,34 @@ def test_receive_batch_matches_single(code96):
     bits = rng.integers(0, 2, size=(6, 4, 4), dtype=np.uint8)
     r = transmit_cfsp_batch(bits, cfg)
     ys = r + rng.normal(0.0, math.sqrt(cfg.n0 / 2.0), size=r.shape)
-    rx_b, flags_b, conv_b = receive_batch(ys, cfg)
+    rx_b, conv_b = receive_batch(ys, cfg)
     for i in range(6):
-        rx, flags, conv = receive_batch(ys[i : i + 1], cfg)
+        rx, conv = receive_batch(ys[i : i + 1], cfg)
         assert (rx[0] == rx_b[i]).all()
-        assert (flags[0] == flags_b[i]).all()
         assert conv[0] == conv_b[i]
+
+
+@pytest.mark.parametrize("mode", ["SF", "DF", "PA"])
+def test_bp_decodes_only_sent_coordinates(code96, mode, monkeypatch):
+    # DF/PA hand BP the J*k sent message columns and the n - m*k parity
+    # columns, on the code shortened to them; SF hands it all n columns.
+    seen = []
+    bp_decode_batch = ffma_system.bp_decode_batch
+
+    def recording(llr, pcm, max_iter):
+        seen.append((llr.shape, pcm))
+        return bp_decode_batch(llr, pcm, max_iter)
+
+    monkeypatch.setattr(ffma_system, "bp_decode_batch", recording)
+    for j_users in (1, 5, 8):
+        cfg = SystemConfig(code96, 4, j_users, mode, mu_pas=4.0 if mode == "PA" else 1.0)
+        bits = np.zeros((3, j_users, 4), dtype=np.uint8)
+        receive_batch(transmit_cfsp_batch(bits, cfg), cfg)
+        shape, pcm = seen.pop()
+        width = 96 if mode == "SF" else j_users * 4 + 96 - 32
+        assert shape == (3, width) and pcm.n == width, j_users
+        assert pcm is code96.shortened(cfg.n_info)
+        assert (pcm is code96.pcm) == (mode == "SF" or j_users == 8)
 
 
 @pytest.mark.parametrize("mode", ["SF", "DF", "PA"])
@@ -378,12 +393,10 @@ def test_cfsp_batch_matches_per_user_transmit(code96, mode, monkeypatch):
         r_fast = transmit_cfsp_batch(bits, cfg)
         for i in range(7):
             assert np.allclose(r_fast[i], transmit(bits[i], cfg).sum(axis=0)), j_users
-        # The receiver knows exactly the silent DF/PA slots [J*k, m*k).
+        # The receiver gets an LLR for each sent coordinate only: DF/PA
+        # leave out the silent slots [J*k, m*k).
         llr = ffma_system._bit_priors(r_fast + rng.normal(0.0, 0.5, r_fast.shape), cfg)
-        silent = np.zeros(cfg.n, dtype=bool)
-        if mode != "SF":
-            silent[j_users * 4 : 32] = True
-        assert (llr[:, silent] == np.inf).all() and np.isfinite(llr[:, ~silent]).all()
+        assert llr.shape == (7, cfg.n_info + 96 - 32) and np.isfinite(llr).all()
         # 7 frames and 64 parity columns: a budget of 900 elements takes the
         # users two at a time, and the sum must not change by a bit.
         with monkeypatch.context() as patch:
@@ -462,7 +475,7 @@ def test_sf_message_decisions_match_bpsk_q_function(code600, j_users, m, k):
         bits = rng.integers(0, 2, size=(min(50, frames - start), j_users, k), dtype=np.uint8)
         r = transmit_cfsp_batch(bits, cfg)
         y = r + rng.normal(0.0, math.sqrt(n0 / 2.0), size=r.shape)
-        rx, _flags, _conv = receive_batch(y, cfg)
+        rx, _conv = receive_batch(y, cfg)
         errors += int((rx != bits).sum())
     n_bits = frames * j_users * k
     expected = 0.5 * math.erfc(math.sqrt(es_n0))  # Q(sqrt(2 Es/N0))

@@ -118,6 +118,34 @@ def test_encode_length_mismatch(toy_code):
         encode(np.zeros(5, dtype=np.uint8), toy_code)
 
 
+def test_shortened_full_code_is_pcm(toy_code):
+    assert toy_code.shortened(toy_code.k) is toy_code.pcm
+    with pytest.raises(ValueError):
+        toy_code.shortened(toy_code.k + 1)
+    with pytest.raises(ValueError):
+        toy_code.shortened(-1)
+
+
+@pytest.mark.parametrize("n_sent", [4, 20])
+def test_shortened_deletes_unsent_message_columns(n_sent):
+    code = LinearCode.generate(96, 32, col_weight=3, seed=3)
+    short = code.shortened(n_sent)
+    assert code.shortened(n_sent) is short
+    keep = np.r_[0:n_sent, 32:96]
+    assert (short.n, short.n_checks) == (keep.size, code.pcm.n_checks)
+    # Row by row: the original row on the kept columns, renumbered in order.
+    new_pos = np.full(96, -1)
+    new_pos[keep] = np.arange(keep.size)
+    for row, short_row in zip(code.pcm.row_adj, short.row_adj):
+        assert short_row.tolist() == new_pos[row[new_pos[row] >= 0]].tolist()
+    # A codeword whose message bits [n_sent, k) are zero, with those
+    # coordinates deleted, is a codeword of the shortened code.
+    msgs = np.random.default_rng(12).integers(0, 2, size=(50, 32), dtype=np.uint8)
+    msgs[:, n_sent:] = 0
+    cws = encode(msgs, code)[:, keep]
+    assert _checks_satisfied(cws, short).all()
+
+
 def test_bp_noiseless_is_identity(toy_code):
     pcm = toy_code.pcm
     _, cws = all_codewords(toy_code)

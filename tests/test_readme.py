@@ -5,8 +5,6 @@ import re
 import shlex
 from pathlib import Path
 
-import numpy as np
-
 from ffma.cli import _add_run_parser, build_spec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -45,5 +43,5 @@ def test_readme_library_quick_start(capsys):
     namespace: dict = {}
     exec(compile(snippet, str(README), "exec"), namespace)
     assert namespace["rx_bits"].shape == namespace["bits"].shape == (100, 30, 5)
-    assert np.all(namespace["active"] == namespace["rx_bits"].any(axis=2))
+    assert namespace["converged"].shape == (100,)
     assert "bit errors" in capsys.readouterr().out

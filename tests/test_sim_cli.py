@@ -324,6 +324,22 @@ def test_cli_timing(tmp_path):
     assert wall["default"] == [0.0, 0.0]
 
 
+def test_cli_rejects_a_boolean_typo(tmp_path, capsys):
+    # `ture` is neither true nor false: exit 2 naming the key, not a
+    # silent record_timing=False.
+    cfgfile = _write(tmp_path / "typo.cfg", "record_timing = ture\n")
+    out = tmp_path / "typo.csv"
+    rc = main(["-q", "run", "--system", "SF", "--n", "96", "--k", "4", "--m", "8",
+               "--j", "2", "--snr", "6", "--config", str(cfgfile), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert "record_timing" in capsys.readouterr().err
+    base = {"system": "SF", "n": "96", "k": "4", "m": "8"}
+    for word in ("1", "TRUE", " yes ", "on"):
+        assert build_spec(dict(base, record_timing=word), {}).record_timing is True
+    for word in ("0", "false", "No", "off"):
+        assert build_spec(dict(base, record_timing=word), {}).record_timing is False
+
+
 def test_cli_config_file(tmp_path):
     cfgfile = tmp_path / "exp.cfg"
     out = tmp_path / "from_cfg.csv"
