@@ -5,8 +5,9 @@ Provides:
 * ``LinearCode``, a parity-check matrix with the part P of its generator
   ``G = [I | P]``: girth-aware random LDPC construction (progressive edge
   growth with seeded tie-breaking) plus reduction to systematic form by
-  GF(2) Gaussian elimination (the information section always occupies
-  the first k coordinates), shortened on its trailing message bits;
+  GF(2) Gauss-Jordan elimination on bit-packed rows (the information
+  section always occupies the first k coordinates), shortened on its
+  trailing message bits;
 * sum-product belief-propagation decoding in the log-likelihood domain,
   flooding schedule, early exit on a zero syndrome or on an exact
   message cycle, batched over many frames at once;
@@ -22,8 +23,10 @@ have one, are left out of the product, so an erased edge (its check's
 only zero) still receives the product of the rest.  Row v of
 ``var_slots`` holds column v's edge ids, padded with a constant -0.0
 message, summed as slot 0 + (slot 1 + slot 2 + ...): reduceat's order
-for up to 8 edges.  Syndromes use a cached uint8 CSR ``H`` (parity
-survives the wrap-around); loop buffers are reallocated only on a squeeze.
+for up to 8 edges.  Syndromes XOR the hard decisions over
+``chk_slots``, the check-side twin of ``var_slots``: row s holds each
+check's s-th column, padded with ``n``, which reads an all-zero row.
+Loop buffers are reallocated only on a squeeze.
 A frame whose check messages repeat a snapshot bit for bit (Brent's cycle
 detection, snapshots at iterations 8, 16, 32, ...) leaves at the iteration
 whose decisions the full run would end on.
@@ -37,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 LLR_CLAMP = 40.0
 _MAX_ATTEMPTS = 20  # PEG graphs drawn, seeded (seed, attempt), before giving up
@@ -79,8 +81,9 @@ class ParityCheckMatrix:
         rank = np.arange(n_edges) - np.repeat(var_start, col_deg)
         self.var_slots = np.full((self.n, int(col_deg.max())), n_edges)
         self.var_slots[self.edge_var[var_order], rank] = var_order
-        self.H = scipy.sparse.csr_matrix(
-            (np.ones(n_edges, np.uint8), self.edge_var, np.append(self.chk_start, n_edges)))
+        chk_rank = np.arange(n_edges) - np.repeat(self.chk_start, row_deg)
+        self.chk_slots = np.full((int(row_deg.max()), self.n_checks), self.n)
+        self.chk_slots[chk_rank, self.edge_chk] = self.edge_var
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_checks, self.n), dtype=np.uint8)
@@ -193,28 +196,30 @@ def _peg_graph(n: int, n_checks: int, col_weight: int, rng) -> list[list[int]]:
     for v in range(n):
         for t in range(col_weight):
             if t == 0:
-                cand = np.flatnonzero(chk_deg == chk_deg.min())
+                cand = np.flatnonzero(chk_deg == chk_deg.min()).tolist()
             else:
                 cand = _peg_candidates(v, var_adj, chk_adj, n_checks)
-                degs = chk_deg[cand]
-                cand = cand[degs == degs.min()]
-            c = int(cand[rng.integers(cand.size)])
+                degs = chk_deg[cand].tolist()
+                low = min(degs)
+                cand = [c for c, d in zip(cand, degs) if d == low]
+            c = cand[rng.integers(len(cand))]
             var_adj[v].append(c)
             chk_adj[c].append(v)
             chk_deg[c] += 1
     return chk_adj
 
 
-def _peg_candidates(v: int, var_adj, chk_adj, n_checks: int) -> np.ndarray:
+def _peg_candidates(v: int, var_adj, chk_adj, n_checks: int) -> list[int]:
     """Checks at maximal distance from v in the current graph.
 
     Breadth-first expansion from v; stops when the reached check set
-    saturates (candidates = the unreachable checks) or covers everything
-    (candidates = the checks first reached in the final level).
+    saturates (candidates = the unreachable checks, in order) or covers
+    everything (candidates = the checks first reached in the final level,
+    in discovery order).
     """
-    covered = np.zeros(n_checks, dtype=bool)
-    visited = np.zeros(len(var_adj), dtype=bool)
-    visited[v] = True
+    covered = bytearray(n_checks)
+    visited = bytearray(len(var_adj))
+    visited[v] = 1
     frontier = [v]
     n_covered = 0
 
@@ -223,54 +228,54 @@ def _peg_candidates(v: int, var_adj, chk_adj, n_checks: int) -> np.ndarray:
         for u in frontier:
             for c in var_adj[u]:
                 if not covered[c]:
-                    covered[c] = True
+                    covered[c] = 1
                     new_checks.append(c)
         if not new_checks:
-            return np.flatnonzero(~covered)
+            break
         n_covered += len(new_checks)
         if n_covered == n_checks:
-            return np.asarray(new_checks, dtype=np.int64)
+            return new_checks
         frontier = []
         for c in new_checks:
             for u in chk_adj[c]:
                 if not visited[u]:
-                    visited[u] = True
+                    visited[u] = 1
                     frontier.append(u)
         if not frontier:
-            return np.flatnonzero(~covered)
+            break
+    return [c for c in range(n_checks) if not covered[c]]
 
 
 def _systematize(pcm: ParityCheckMatrix) -> LinearCode | None:
     """Permute columns so the code is systematic-first; derive G = [I | P].
 
+    Gauss-Jordan runs on H bit-packed into little-endian 64-bit words
+    (column c is bit c % 64 of word c // 64).  The reduced row-echelon
+    form of a full-rank H is unique, so the pivots, P and the permutation
+    do not depend on how the elimination is done.
+
     Returns None if the matrix does not have full row rank.
     """
     n, n_checks = pcm.n, pcm.n_checks
-    k = n - n_checks
-    rows = []
-    for adj in pcm.row_adj:
-        mask = 0
-        for c in adj:
-            mask |= 1 << int(c)
-        rows.append(mask)
+    rows = np.zeros((n_checks, (n + 63) // 64), dtype="<u8")
+    np.bitwise_or.at(rows, (pcm.edge_chk, pcm.edge_var >> 6),
+                     np.uint64(1) << (pcm.edge_var & 63).astype(np.uint64))
 
     # Gauss-Jordan to reduced row-echelon form, tracking pivot columns.
+    # Row r is zero left of column col, so only words from col // 64 on change.
     pivots: list[int] = []
     r = 0
     for col in range(n):
-        bit = 1 << col
-        piv = None
-        for i in range(r, n_checks):
-            if rows[i] & bit:
-                piv = i
-                break
-        if piv is None:
+        word, bit = col >> 6, np.uint64(1 << (col & 63))
+        below = np.flatnonzero(rows[r:, word] & bit)
+        if below.size == 0:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rr = rows[r]
-        for i in range(n_checks):
-            if i != r and (rows[i] & bit):
-                rows[i] ^= rr
+        piv = r + int(below[0])
+        if piv != r:
+            rows[[r, piv]] = rows[[piv, r]]
+        hits = np.flatnonzero(rows[:, word] & bit)
+        hits = hits[hits != r]
+        rows[hits, word:] ^= rows[r, word:]
         pivots.append(col)
         r += 1
         if r == n_checks:
@@ -278,21 +283,18 @@ def _systematize(pcm: ParityCheckMatrix) -> LinearCode | None:
     if r < n_checks:
         return None
 
-    pivot_set = set(pivots)
-    info_cols = [c for c in range(n) if c not in pivot_set]
-    perm = np.array(info_cols + pivots, dtype=np.int64)
+    is_pivot = np.zeros(n, dtype=bool)
+    is_pivot[pivots] = True
+    info_cols = np.flatnonzero(~is_pivot)
+    perm = np.concatenate([info_cols, pivots])
     new_pos = np.empty(n, dtype=np.int64)
     new_pos[perm] = np.arange(n)
 
-    # Row i of the RREF reads v[pivot_i] = sum of the row's info columns.
-    info_pos = {c: idx for idx, c in enumerate(info_cols)}
-    parity = np.zeros((k, n_checks), dtype=np.uint8)
-    for i, (p, row) in enumerate(zip(pivots, rows)):
-        rest = row & ~(1 << p)
-        while rest:
-            low = rest & -rest
-            parity[info_pos[low.bit_length() - 1], i] = 1
-            rest ^= low
+    # Row i of the RREF reads v[pivot_i] = sum of the row's info columns,
+    # so P[j, i] is bit info_cols[j] of row i.
+    parity = rows.view(np.uint8).T[info_cols >> 3]
+    parity >>= (info_cols & 7).astype(np.uint8)[:, None]
+    parity &= 1
 
     permuted_rows = [new_pos[adj] for adj in pcm.row_adj]
     return LinearCode(ParityCheckMatrix(n, permuted_rows), parity, perm)
@@ -430,7 +432,12 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
 
 
 def _checks_satisfied(hard: np.ndarray, pcm: ParityCheckMatrix) -> np.ndarray:
-    return ~((pcm.H @ hard.T) & 1).any(axis=0)
+    bits = np.zeros((pcm.n + 1, hard.shape[0]), dtype=np.uint8)
+    bits[:pcm.n] = hard.T
+    acc = bits[pcm.chk_slots[0]]
+    for slot in pcm.chk_slots[1:]:
+        acc ^= bits[slot]
+    return ~acc.any(axis=0)
 
 
 # ---------------------------------------------------------------------------

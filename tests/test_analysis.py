@@ -43,15 +43,33 @@ def test_interpolate_snr_at_ber():
         interpolate_snr_at_ber([0, 1], [1e-2, 1e-3], 1e-6)
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats alone roughly doubles the resident memory of every
-    # simulator process (each `ffma run`, pool worker and bench run), so
-    # nothing the package imports at load time may pull it in.
+def _run_python(code: str, cwd) -> str:
     src = str(Path(ffma.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys\nimport ffma, ffma.cli, ffma.experiment\n"
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    # The simulator's runtime dependency is numpy alone: scipy.stats roughly
+    # doubled the resident memory of every simulator process (each
+    # `ffma run`, pool worker and bench run), and scipy.sparse added a
+    # third, so nothing the package imports at load time may pull in scipy.
+    code = ("import sys\nimport ffma, ffma.cli, ffma.experiment\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code, tmp_path) == "[]"
+
+
+def test_cli_runs_every_system_without_scipy(tmp_path):
+    code = (
+        "import sys\nsys.modules['scipy'] = None\nfrom ffma.cli import main\n"
+        "for system in ('SF', 'DF', 'PA', 'ALOHA'):\n"
+        "    assert main(['-q', 'run', '--system', system, '--n', '96', '--k', '4',"
+        " '--m', '8', '--j', '2', '--snr', '3', '--min-frames', '20',"
+        " '--max-frames', '20', '--out', system + '.csv']) == 0\n"
+        "print('ok')")
+    assert _run_python(code, tmp_path) == "ok"
+    for system in ("SF", "DF", "PA", "ALOHA"):
+        assert len((tmp_path / f"{system}.csv").read_text().splitlines()) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -83,6 +84,37 @@ def test_construct_deterministic():
     assert (a.parity == b.parity).all() and (a.col_perm == b.col_perm).all()
     c = LinearCode.generate(60, 30, col_weight=3, seed=12)
     assert any((ra != rc).any() for ra, rc in zip(a.pcm.row_adj, c.pcm.row_adj))
+
+
+# SHA-1s of (edge_var, parity, col_perm) as int64, uint8 and int64 bytes.
+# A faster construction must build exactly these codes: every CSV the
+# simulator writes depends on them bit for bit.
+PINNED_CODES = {
+    (600, 300, 7): ("e9cda5f09d937020305b72a1705d6525609bee7c",
+                    "8481bf80617e07e7c0700d6d89947c06e4253d6f",
+                    "6b87b661225ca64396e923d78f7c11c5a6258fb9"),
+    (96, 32, 3): ("755a920d0d241a0c08c9c343659f5a50b60193d1",
+                  "3f078cfae44728ff2595d1a74fcbc08e014805dc",
+                  "9af2347cba86a895b3c91d6ed29355305a787779"),
+    (96, 64, 11): ("b9f2de367170a86bcf37c721a178237e51cab894",
+                   "7053b133a8a49a2138c5cc545b007db516d817df",
+                   "6a7b9327ad2b31a89bc00af587b2566a05c72e71"),
+}
+
+
+@pytest.mark.parametrize("n, k, seed", sorted(PINNED_CODES))
+def test_construction_is_pinned(n, k, seed):
+    code = LinearCode.generate(n, k, seed=seed)
+    arrays = (code.pcm.edge_var.astype(np.int64), code.parity.astype(np.uint8),
+              code.col_perm.astype(np.int64))
+    digests = tuple(hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
+                    for a in arrays)
+    assert digests == PINNED_CODES[(n, k, seed)]
+
+
+def test_construction_gives_up_on_rank_deficient_graphs():
+    with pytest.raises(ValueError, match="full rank in 20 attempts"):
+        LinearCode.generate(96, 48, col_weight=4, seed=2)
 
 
 def test_girth_at_least_six_at_moderate_size():
@@ -294,13 +326,19 @@ def test_bp_cycle_exit_fires_on_pa(desk_code, monkeypatch):
 def test_syndrome_counts_ones_per_check(toy_code, desk_code):
     rng = np.random.default_rng(10)
     desk_cws = encode(rng.integers(0, 2, (5, 300), dtype=np.uint8), desk_code)
-    for pcm, cws in ((toy_code.pcm, all_codewords(toy_code)[1]), (desk_code.pcm, desk_cws)):
+    # The shortened code has rows of unequal degree, so padded slots occur.
+    short_msgs = np.zeros((5, 300), dtype=np.uint8)
+    short_msgs[:, :150] = rng.integers(0, 2, (5, 150))
+    short_cws = np.delete(encode(short_msgs, desk_code), np.s_[150:300], axis=1)
+    short = desk_code.shortened(150)
+    assert (short.chk_slots == short.n).any()
+    for pcm, cws in ((toy_code.pcm, all_codewords(toy_code)[1]), (desk_code.pcm, desk_cws),
+                     (short, short_cws)):
         hard = np.concatenate([rng.integers(0, 2, (200, pcm.n), dtype=np.uint8), cws])
         counts = pcm.to_dense().astype(np.int64) @ hard.T
         assert (counts >= 2).any()  # a count-or-OR mix-up would show
         parity = counts % 2
-        for bits in (hard, hard.astype(bool)):  # a bool H times bool bits ORs
-            assert ((pcm.H @ bits.T) & 1 == parity).all()
+        for bits in (hard, hard.astype(bool)):
             assert (_checks_satisfied(bits, pcm) == ~parity.any(axis=0)).all()
         assert _checks_satisfied(cws, pcm).all()
 
