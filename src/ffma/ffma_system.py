@@ -142,20 +142,21 @@ def _parity_ones(bits: np.ndarray, P: np.ndarray, rows: np.ndarray) -> np.ndarra
     ``P[rows[j]]`` are user j's (k, n - mk) rows of the parity part.  The
     per-user products are integer counts <= k, exact in float32, so one
     batched float matmul over users replaces an integer contraction; the
-    counts then fit the narrowest unsigned type that holds k.  Users are
-    taken in chunks, so each float32 block holds at most _CHUNK elements
-    (or one user's block, if that is larger) whatever J is.
+    counts then fit the narrowest unsigned type that holds k, and their
+    parity bits are summed over users in the narrowest one that holds J.
+    Users are taken in chunks, so each float32 block holds at most _CHUNK
+    elements (or one user's block, if that is larger) whatever J is.
     """
     B, J, k = bits.shape
     width = P.shape[1]
     per_chunk = max(1, _CHUNK // (max(B, k) * width))
-    total = np.zeros((B, width), dtype=np.int64)
+    total = np.zeros((B, width), dtype=np.min_scalar_type(J))
     for j0 in range(0, J, per_chunk):
         users = slice(j0, j0 + per_chunk)
         # One expression, so no chunk's counts outlive it into the next.
         total += (np.matmul(bits[:, users].transpose(1, 0, 2).astype(np.float32),
                             P[rows[users]].astype(np.float32))
-                  .astype(np.min_scalar_type(k)) & 1).sum(axis=0, dtype=np.int64)
+                  .astype(np.min_scalar_type(k)) & 1).sum(axis=0, dtype=total.dtype)
     return total
 
 
@@ -189,15 +190,20 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
         d_i = log((J - i)/(i + 1)) + (4a/n0) * (y - a*(2i + 1 - J))
 
     falls by at least kappa = 8a^2/n0 per step.  Only the levels within
-    W of the argmax i* (the number of i < J with d_i > 0, found by
-    bisection) are summed, with W the least integer such that
+    W of the argmax i* are summed, with W the least integer such that
     (2W - 1) * kappa > _TAIL = log(2e16 + 1).  Outside the window each
     term is at most q = exp(-(2W - 1) kappa) times the term two levels
     nearer i*, and the factor compounds, so on each side the omitted
     terms of a parity class sum to at most q/(1 - q) times that class's
     last kept term.  Hence the omitted mass of each class, relative to
     the class's in-window sum, is at most 2q/(1 - q) < 1e-16.  W is
-    clipped to J, so at low SNR the window is the whole mixture.
+    clipped to J, so at low SNR the window is the whole mixture.  i*,
+    the number of i < J with d_i = step_i + scale*y > 0, is one sorted
+    search of scale*y in -step: in IEEE arithmetic fl(step_i + s) > 0
+    exactly when s > -step_i, and -step rises by at least kappa per level.
+
+    J = 1 (one BPSK symbol) has one level per class, so the LLR is
+    0 - (scale*(y + a) - a*scale), and +-inf where that overflows.
 
     Accepts scalar or array y; returns a float or an array of y's shape.
     """
@@ -209,9 +215,12 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
         raise ValueError(f"j_users must be >= 1, got {j_users}")
     J, a = int(j_users), float(amplitude)
     y_arr = np.asarray(y, dtype=np.float64)
+    scale = 4.0 * a / n0
+    if J == 1:
+        llr = 0.0 - (scale * (y_arr + a) - a * scale)
+        return float(llr) if y_arr.ndim == 0 else llr
     flat = y_arr.reshape(-1)
     log_comb = _log_comb(J)
-    scale = 4.0 * a / n0
     kappa = 2.0 * a * scale
     half = min(J, math.floor((_TAIL / kappa + 1.0) / 2.0) + 1)
     width = min(2 * half + 1, J + 1)
@@ -226,10 +235,9 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
     table = (log_comb[t[:, None] + np.arange(J + 2 - width)]
              - (a * scale) * t[:, None].astype(np.float64) ** 2)
     if width <= J:
-        # Bisection for i* on d_i = step_i + scale*y; settled entries stay
-        # put because d_J = -inf.
-        step = (np.append(np.diff(log_comb), -np.inf)
-                - (a * scale) * (2.0 * np.arange(J + 1) + 1.0 - J))
+        # -step_J = +inf, so i* <= J.
+        neg_step = -(np.append(np.diff(log_comb), -np.inf)
+                     - (a * scale) * (2.0 * np.arange(J + 1) + 1.0 - J))
     # Samples are taken in near-equal chunks of at most _CHUNK // width, and
     # of at least two: numpy sums a one-sample (width, 1) block pairwise
     # instead of row by row, which moves the LLR's last bit.
@@ -237,15 +245,8 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
     llr = np.empty(flat.shape)
     for part, out in zip(np.array_split(flat, n_chunks), np.array_split(llr, n_chunks)):
         if width <= J:
-            scaled_y = scale * part
-            lo = np.zeros(part.shape, dtype=np.intp)
-            hi = np.full(part.shape, J, dtype=np.intp)
-            for _ in range(J.bit_length()):
-                mid = (lo + hi) >> 1
-                up = step[mid] + scaled_y > 0
-                lo = np.where(up, mid + 1, lo)
-                hi = np.where(up, hi, mid)
-            start = np.clip(lo - half, 0, J + 1 - width)
+            centre = np.searchsorted(neg_step, scale * part)
+            start = np.clip(centre - half, 0, J + 1 - width)
             # np.take keeps the gathered window C-ordered for the add below.
             base = np.take(table, start, axis=1)
         else:

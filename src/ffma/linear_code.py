@@ -434,10 +434,7 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
 def _checks_satisfied(hard: np.ndarray, pcm: ParityCheckMatrix) -> np.ndarray:
     bits = np.zeros((pcm.n + 1, hard.shape[0]), dtype=np.uint8)
     bits[:pcm.n] = hard.T
-    acc = bits[pcm.chk_slots[0]]
-    for slot in pcm.chk_slots[1:]:
-        acc ^= bits[slot]
-    return ~acc.any(axis=0)
+    return ~np.bitwise_xor.reduce(bits[pcm.chk_slots], axis=0).any(axis=0)
 
 
 # ---------------------------------------------------------------------------

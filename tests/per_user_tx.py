@@ -40,6 +40,12 @@ def sf_transmit(bits, cfg: SystemConfig) -> np.ndarray:
     return 2.0 * codewords - 1.0
 
 
+def user_parity(user_bits, user_rows) -> np.ndarray:
+    """One user's own parity bits: its k bits times its (k, n - mk) rows of
+    the parity part, in int64, mod 2."""
+    return (np.asarray(user_bits).astype(np.int64) @ user_rows) & 1
+
+
 def _diag_signals(bits: np.ndarray, cfg: SystemConfig, a_info: float, a_parity: float) -> np.ndarray:
     """User j sends its own slot j and the parity of its diagonal-form message."""
     x = np.zeros((cfg.j_users, cfg.n), dtype=np.float64)
@@ -47,7 +53,7 @@ def _diag_signals(bits: np.ndarray, cfg: SystemConfig, a_info: float, a_parity: 
     P = cfg.code.parity
     for j in range(cfg.j_users):
         sl = slice(j * cfg.k, (j + 1) * cfg.k)
-        parity = (bits[j].astype(np.int64) @ P[sl]) & 1
+        parity = user_parity(bits[j], P[sl])
         x[j, sl] = a_info * (2.0 * bits[j] - 1.0)
         x[j, mk:] = a_parity * (2.0 * parity - 1.0)
     return x

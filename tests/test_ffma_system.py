@@ -7,13 +7,13 @@ import pytest
 from scipy.special import expit
 from scipy.stats import binom
 
-from mixture_oracle import full_mixture_posterior
-from per_user_tx import df_transmit, pa_transmit, sf_transmit, transmit
+from mixture_oracle import bisection_posterior, full_mixture_posterior
+from per_user_tx import df_transmit, pa_transmit, sf_transmit, transmit, user_parity
 
 import ffma.ffma_system as ffma_system
 from ffma.experiment import ExperimentSpec, per_user_frame_energy
 from ffma.ffma_system import SystemConfig, cfsp_posterior, receive_batch, transmit_cfsp_batch
-from ffma.linear_code import LinearCode, ParityCheckMatrix, encode
+from ffma.linear_code import LinearCode, ParityCheckMatrix, bp_decode_batch, encode
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,73 @@ def test_windowed_llr_matches_full_mixture_at_extremes(j_users):
             finite = np.minimum(p0, p1) >= np.finfo(np.float64).tiny
             assert np.abs(llr - ref)[finite].max(initial=0.0) <= 1e-9, (a, n0)
             assert (np.sign(llr) == np.sign(ref))[~finite].all(), (a, n0)
+
+
+@pytest.mark.parametrize("j_users", [1, 2, 3, 7, 30, 60, 61, 300])
+def test_posterior_equals_bisection_window_bit_for_bit(j_users):
+    # The sorted-search window centre and the J = 1 closed form against the
+    # bisection detector they replace, from the windowed regime (n0 small)
+    # to the whole mixture (n0 large), at the level centres and out to
+    # +-1e5.
+    rng = np.random.default_rng(500 + j_users)
+    regimes = set()
+    for a in (0.3, 1.0, 2.5):
+        centres = a * (2.0 * np.arange(j_users + 1) - j_users)
+        y = np.concatenate([
+            centres, centres + a, np.array([0.0, -0.0]),
+            np.array([-1e5, 1e5, -1e3, 1e3]), -np.logspace(-3.0, 5.0, 40),
+            np.logspace(-3.0, 5.0, 40), rng.uniform(-3.0 * a * j_users, 3.0 * a * j_users, 300),
+        ])
+        for n0 in np.logspace(-3.0, 2.0, 16):
+            kappa = 8.0 * a * a / n0
+            half = min(j_users, math.floor((ffma_system._TAIL / kappa + 1.0) / 2.0) + 1)
+            regimes.add(2 * half + 1 <= j_users)
+            llr = cfsp_posterior(y, j_users, a, n0)
+            ref = bisection_posterior(y, j_users, a, n0)
+            assert np.isfinite(ref).all(), (a, n0)
+            assert (llr.view(np.int64) == ref.view(np.int64)).all(), (a, n0)
+            one = float(y[-1])
+            assert cfsp_posterior(one, j_users, a, n0) == bisection_posterior(one, j_users, a, n0)
+    # J = 1 and 2 never take the window; every larger J takes both paths.
+    assert regimes == ({False} if j_users <= 2 else {False, True})
+
+
+def test_window_steps_fall_strictly():
+    # The sorted search counts the levels with d_i > 0 only if -step is
+    # sorted; wherever the window is used it must rise at every level.
+    windows = 0
+    for j_users in (2, 3, 7, 30, 60, 61, 128, 255, 256, 300):
+        log_comb = ffma_system._log_comb(j_users)
+        for a in (0.1, 0.3, 1.0, 2.5):
+            for n0 in np.logspace(-4.0, 2.0, 61):
+                scale = 4.0 * a / n0
+                half = min(j_users,
+                           math.floor((ffma_system._TAIL / (2.0 * a * scale) + 1.0) / 2.0) + 1)
+                if 2 * half + 1 > j_users:
+                    continue
+                windows += 1
+                neg_step = -(np.append(np.diff(log_comb), -np.inf)
+                             - (a * scale) * (2.0 * np.arange(j_users + 1) + 1.0 - j_users))
+                assert (np.diff(neg_step) > 0).all(), (j_users, a, n0)
+    assert windows > 500
+
+
+def test_single_user_overflow_is_infinite_and_clamped_by_bp(code96):
+    # At n0 = 1e-3, scale*(y + a) overflows for |y| = 1e305.  The whole-
+    # mixture path gave NaN there (inf - inf); the closed form gives -+inf,
+    # which BP clamps like any other saturated prior.
+    y = np.array([1e305, -1e305, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = bisection_posterior(y, 1, 1.0, 1e-3)
+        new = cfsp_posterior(y, 1, 1.0, 1e-3)
+    assert np.isnan(old[:2]).all() and new[0] == -np.inf and new[1] == np.inf
+    assert new[2] == old[2] == -4000.0
+    pcm = code96.pcm
+    llr = np.full((2, pcm.n), 5.0)
+    llr[0, :2] = new[:2]
+    llr[1, :2] = (-40.0, 40.0)
+    bits, conv = bp_decode_batch(llr, pcm, 50)
+    assert (bits[0] == bits[1]).all() and conv[0] == conv[1]
 
 
 def test_single_user_llr_is_textbook_at_any_distance():
@@ -420,6 +487,31 @@ def test_posterior_chunks_over_samples_exactly(j_users, monkeypatch):
     monkeypatch.setattr(ffma_system, "_CHUNK", 64)
     for y, a, whole in cases:
         assert cfsp_posterior(y, j_users, a, 1.0).tobytes() == whole.tobytes(), (a, y.size)
+
+
+@pytest.mark.parametrize("k", [1, 5, 10])
+@pytest.mark.parametrize("j_users", [1, 60, 256, 300])
+def test_parity_ones_matches_per_user_int64_parity(j_users, k, monkeypatch):
+    # Counts of users whose own parity bit is 1, against each user's int64
+    # parity summed frame by frame.  Frame 0 has every bit set, and column 0
+    # of P makes every user's parity bit its first bit, so that column
+    # counts all J users: 256 and 300 need the uint16 sum.
+    rng = np.random.default_rng(60 + j_users + k)
+    width, batch = 24, 4
+    P = rng.integers(0, 2, size=(j_users * k + 3, width), dtype=np.uint8)
+    rows = rng.permutation(j_users * k + 3)[:j_users * k].reshape(j_users, k)
+    P[:, 0] = 0
+    P[rows[:, 0], 0] = 1
+    bits = rng.integers(0, 2, size=(batch, j_users, k), dtype=np.uint8)
+    bits[0] = 1
+    ref = np.array([sum(user_parity(bits[b, j], P[rows[j]]) for j in range(j_users))
+                    for b in range(batch)])
+    assert ref[0, 0] == j_users
+    fast = ffma_system._parity_ones(bits, P, rows)
+    assert fast.dtype == np.min_scalar_type(j_users)
+    assert (fast.astype(np.int64) == ref).all()
+    monkeypatch.setattr(ffma_system, "_CHUNK", 500)  # a few users per chunk
+    assert (ffma_system._parity_ones(bits, P, rows).astype(np.int64) == ref).all()
 
 
 def _traced_peak(fn, *args) -> int:
