@@ -219,7 +219,9 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
     if J == 1:
         llr = 0.0 - (scale * (y_arr + a) - a * scale)
         return float(llr) if y_arr.ndim == 0 else llr
-    flat = y_arr.reshape(-1)
+    # numpy sums a one-sample (width, 1) block pairwise instead of row by
+    # row, which moves the LLR's last bit, so one sample is taken twice.
+    flat = np.resize(y_arr, 2) if y_arr.size == 1 else y_arr.reshape(-1)
     log_comb = _log_comb(J)
     kappa = 2.0 * a * scale
     half = min(J, math.floor((_TAIL / kappa + 1.0) / 2.0) + 1)
@@ -239,8 +241,7 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
         neg_step = -(np.append(np.diff(log_comb), -np.inf)
                      - (a * scale) * (2.0 * np.arange(J + 1) + 1.0 - J))
     # Samples are taken in near-equal chunks of at most _CHUNK // width, and
-    # of at least two: numpy sums a one-sample (width, 1) block pairwise
-    # instead of row by row, which moves the LLR's last bit.
+    # of at least two, so no chunk is summed pairwise either.
     n_chunks = max(1, -(-flat.size // max(4, _CHUNK // width)))
     llr = np.empty(flat.shape)
     for part, out in zip(np.array_split(flat, n_chunks), np.array_split(llr, n_chunks)):
@@ -267,7 +268,7 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
         del ll, base    # free this chunk's blocks before the next is built
     if y_arr.ndim == 0:
         return float(llr[0])
-    return llr.reshape(y_arr.shape)
+    return llr[:y_arr.size].reshape(y_arr.shape)
 
 
 def _bit_priors(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:

@@ -15,18 +15,22 @@ Provides:
 
 The decoder runs on one flat edge list in check order (Richardson &
 Urbanke, *Modern Coding Theory*, ch. 2): edge e joins variable
-``edge_var[e]`` to check ``edge_chk[e]``, and the checks' segments start
-at ``chk_start``.  ``np.multiply.reduceat`` over them gives each check's
-product of tanh(Lq/2); an edge's leave-one-out product is that product
-divided by its own factor.  Exact zeros, counted only in batches that
-have one, are left out of the product, so an erased edge (its check's
-only zero) still receives the product of the rest.  Row v of
-``var_slots`` holds column v's edge ids, padded with a constant -0.0
-message, summed as slot 0 + (slot 1 + slot 2 + ...): reduceat's order
-for up to 8 edges.  Syndromes XOR the hard decisions over
-``chk_slots``, the check-side twin of ``var_slots``: row s holds each
-check's s-th column, padded with ``n``, which reads an all-zero row.
-Loop buffers are reallocated only on a squeeze.
+``edge_var[e]`` to check ``edge_chk[e]``.  Its messages are stored
+edge-major, one row per edge and one column per frame, with one more row
+for a sentinel edge, so every gather (``np.take`` along axis 0) copies
+whole rows.  Row s of ``chk_edges`` holds each check's s-th edge,
+padded with the sentinel, whose factor is 1.0; multiplying the rows of
+tanh(Lq/2) left to right gives each check's product in the order of its
+edges, bit for bit what ``np.multiply.reduceat`` gives over the check's
+segment.  An edge's leave-one-out product is that product divided by its
+own factor.  Exact zeros, looked for only when a check's product is 0,
+are left out of the product, so an erased edge (its check's only zero)
+still receives the product of the rest.  Row v of ``var_slots`` holds
+column v's edge ids, padded with the sentinel, whose message is -0.0,
+summed as slot 0 + (slot 1 + slot 2 + ...): numpy's order for a sum of
+up to 8 terms.  Syndromes XOR the hard decisions over ``chk_slots``, the
+columns of ``chk_edges``' edges, padded with ``n``, which reads an
+all-zero row.  Loop buffers are reallocated only on a squeeze.
 A frame whose check messages repeat a snapshot bit for bit (Brent's cycle
 detection, snapshots at iterations 8, 16, 32, ...) leaves at the iteration
 whose decisions the full run would end on.
@@ -73,7 +77,6 @@ class ParityCheckMatrix:
         if (col_deg == 0).any():
             empty = np.flatnonzero(col_deg == 0)[:8].tolist()
             raise ValueError(f"columns with no parity checks: {empty}")
-        self.chk_start = np.cumsum(row_deg) - row_deg
         var_order = np.argsort(self.edge_var, kind="stable")
         var_start = np.cumsum(col_deg) - col_deg
         self.col_adj = np.split(self.edge_chk[var_order], var_start[1:])
@@ -81,9 +84,10 @@ class ParityCheckMatrix:
         rank = np.arange(n_edges) - np.repeat(var_start, col_deg)
         self.var_slots = np.full((self.n, int(col_deg.max())), n_edges)
         self.var_slots[self.edge_var[var_order], rank] = var_order
-        chk_rank = np.arange(n_edges) - np.repeat(self.chk_start, row_deg)
-        self.chk_slots = np.full((int(row_deg.max()), self.n_checks), self.n)
-        self.chk_slots[chk_rank, self.edge_chk] = self.edge_var
+        chk_rank = np.arange(n_edges) - np.repeat(np.cumsum(row_deg) - row_deg, row_deg)
+        self.chk_edges = np.full((int(row_deg.max()), self.n_checks), n_edges)
+        self.chk_edges[chk_rank, self.edge_chk] = np.arange(n_edges)
+        self.chk_slots = np.append(self.edge_var, self.n)[self.chk_edges]
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_checks, self.n), dtype=np.uint8)
@@ -325,13 +329,18 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     returned regardless).  Converged frames are squeezed out of the
     working set each iteration.
 
-    So are frames caught in a message cycle, with the decisions the full
-    run would return.  With L0 fixed, a frame's state after iteration t is
-    its check messages Lr_t, and one iteration maps it to the next.  If
-    Lr_t equals an earlier Lr_c bit for bit, the frame repeats with period
-    p = t - c, and every state of the cycle has already failed the
-    syndrome test.  The full run would end unconverged on the decisions of
-    iteration t + ((max_iter - 1 - t) mod p), so the frame leaves there.
+    Messages are (edges + 1, frames) arrays, so each gather copies whole
+    rows; a check's product of tanh(Lq/2) runs over its column of
+    ``pcm.chk_edges`` from left to right (see the module docstring).
+
+    Frames caught in a message cycle are squeezed out too, with the
+    decisions the full run would return.  With L0 fixed, a frame's state
+    after iteration t is its check messages Lr_t, and one iteration maps
+    it to the next.  If Lr_t equals an earlier Lr_c bit for bit, the frame
+    repeats with period p = t - c, and every state of the cycle has
+    already failed the syndrome test.  The full run would end unconverged
+    on the decisions of iteration t + ((max_iter - 1 - t) mod p), so the
+    frame leaves there.
     """
     llr0 = np.asarray(llr, dtype=np.float64)
     if llr0.ndim != 2 or llr0.shape[1] != pcm.n:
@@ -348,87 +357,108 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     if active.size == 0 or max_iter <= 0:
         return bits_out, conv
 
-    # Message arrays carry one column past the last edge: in Lr it is the
-    # -0.0 message that unused slots read.  mode="clip" lets np.take write
-    # into `out` (every index is in range).
+    # Message arrays carry one row past the last edge, the sentinel edge:
+    # in T it is the factor 1.0 that unused check slots multiply by, in Lr
+    # the -0.0 message that unused variable slots add.  mode="clip" lets
+    # np.take write into `out` (every index is in range).
+    n_edges = pcm.edge_var.size
     edge_var = np.append(pcm.edge_var, 0)
     edge_chk = np.append(pcm.edge_chk, 0)
-    L0 = llr0[active]
-    Lq = np.take(L0, edge_var, axis=1)
+    # var_slots' columns in the order they are summed: 1, 2, ..., then 0.
+    var_rows = pcm.var_slots.T[np.roll(np.arange(pcm.var_slots.shape[1]), -1)]
+    # Edges whose messages screen frames for a cycle, spread over the graph.
+    screen = np.arange(0, n_edges, max(1, n_edges // 128))
+    L0 = llr0[active].T.copy()
+    Lq = np.take(L0, edge_var, axis=0)
     Lr = np.empty(0)
     # Cycle exit: at iterations 8, 16, 32, ... (Brent's powers of two) Lr
-    # is copied into `snap`, frame i's messages into row snap_row[i]; a
-    # squeeze shrinks snap_row, not snap.  A frame found back in its
+    # is copied into `snap`, frame i's messages into column snap_col[i]; a
+    # squeeze shrinks snap_col, not snap.  A frame found back in its
     # snapshot state leaves at iteration `leave`.
     snap, snap_at = None, 0
-    snap_row, leave = np.arange(active.size), np.full(active.size, max_iter)
+    snap_col, leave = np.arange(active.size), np.full(active.size, max_iter)
     for it in range(max_iter):
-        if Lr.shape[0] != active.size:  # first pass, or frames squeezed out
+        if Lr.shape[-1] != active.size:  # first pass, or frames squeezed out
             Lr = np.empty_like(Lq)
-            prod = np.empty((active.size, pcm.n_checks))
+            prod = np.empty((pcm.n_checks, active.size))
+            factor = np.empty_like(prod)
             post, slot = np.empty_like(L0), np.empty_like(L0)
 
         # Check-node update: leave-one-out tanh products, zeros counted apart.
         # T = tanh(Lq/2) overwrites Lq, which is rebuilt from post below.
         T = np.tanh(np.multiply(Lq, 0.5, out=Lq), out=Lq)
-        zero = None if T.all() else T == 0
+        T[n_edges] = 1.0
+        _slot_product(T, pcm.chk_edges, prod, factor)
+        # An exact-zero factor makes its check's product 0, and so may an
+        # underflow; only then are the zeros looked for.
+        zero = None if prod.all() else T == 0
+        if zero is not None and not zero.any():
+            zero = None
         if zero is not None:
             T[zero] = 1.0
-        np.multiply.reduceat(T[:, :-1], pcm.chk_start, axis=1, out=prod)
-        np.take(prod, edge_chk, axis=1, out=Lr, mode="clip")
+            _slot_product(T, pcm.chk_edges, prod, factor)
+        np.take(prod, edge_chk, axis=0, out=Lr, mode="clip")
         Lr /= T
         if zero is not None:
-            n_zero = np.add.reduceat(zero[:, :-1], pcm.chk_start, axis=1)[:, edge_chk]
-            Lr[n_zero > zero] = 0.0
+            n_zero = zero[pcm.chk_edges].sum(axis=0)
+            Lr[n_zero[edge_chk] > zero] = 0.0
         np.clip(Lr, -1.0, 1.0, out=Lr)
         with np.errstate(divide="ignore"):
             np.arctanh(Lr, out=Lr)
         Lr *= 2.0
         np.clip(Lr, -LLR_CLAMP, LLR_CLAMP, out=Lr)
-        Lr[:, -1] = -0.0
+        Lr[n_edges] = -0.0
 
         # Bit-for-bit repeat of the snapshot: period it - snap_at, so the
         # full run would end on the decisions of the iteration in phase
-        # with max_iter - 1.  The first 64 messages screen the frames.
+        # with max_iter - 1.  The messages on the `screen` edges pick the
+        # frames worth comparing in full.
         if snap is not None:
-            head = snap[snap_row, :64].view(np.int64)
-            maybe = np.flatnonzero((Lr[:, :64].view(np.int64) == head).all(axis=1))
+            head = Lr[screen].view(np.int64) == snap_head[:, snap_col]
+            maybe = np.flatnonzero(head.all(axis=0))
             if maybe.size:
-                whole = snap[snap_row[maybe]].view(np.int64)
-                cycling = maybe[(Lr[maybe].view(np.int64) == whole).all(axis=1)]
+                whole = snap[:, snap_col[maybe]].view(np.int64)
+                cycling = maybe[(Lr[:, maybe].view(np.int64) == whole).all(axis=0)]
                 leave[cycling] = it + (max_iter - 1 - it) % (it - snap_at)
         if it >= 8 and it & (it - 1) == 0:
-            if snap is None:
-                snap = np.empty_like(Lr)
-            snap[:active.size] = Lr
-            snap_row = np.arange(active.size)
+            snap = Lr.copy()
+            snap_head = snap[screen].view(np.int64)
+            snap_col = np.arange(active.size)
             snap_at = it
 
         # Variable-node update and posterior: L0 + (slot 0 + (slot 1 + ...)).
-        post.fill(-0.0)
-        for j in [*range(1, pcm.var_slots.shape[1]), 0]:
-            post += np.take(Lr, pcm.var_slots[:, j], axis=1, out=slot, mode="clip")
+        np.take(Lr, var_rows[0], axis=0, out=post, mode="clip")
+        for row in var_rows[1:]:
+            post += np.take(Lr, row, axis=0, out=slot, mode="clip")
         post += L0
-        np.take(post, edge_var, axis=1, out=Lq, mode="clip")
+        np.take(post, edge_var, axis=0, out=Lq, mode="clip")
         Lq -= Lr
 
         hard = (post < 0).view(np.uint8)
-        ok = _checks_satisfied(hard, pcm) & ~(post == 0).any(axis=1)
+        ok = _checks_satisfied(hard.T, pcm) & ~(post == 0).any(axis=0)
         done = ok | (leave == it)
         if done.any():
-            bits_out[active[done]] = hard[done]
+            bits_out[active[done]] = hard[:, done].T
             conv[active[ok]] = True
             keep = ~done
             active = active[keep]
             if active.size == 0:
                 break
-            L0 = L0[keep]
-            Lq = Lq[keep]
-            hard = hard[keep]
-            snap_row, leave = snap_row[keep], leave[keep]
+            # compress keeps the squeezed arrays C-ordered; L0[:, keep] would not.
+            L0 = L0.compress(keep, axis=1)
+            Lq = Lq.compress(keep, axis=1)
+            hard = hard.compress(keep, axis=1)
+            snap_col, leave = snap_col[keep], leave[keep]
     if active.size:
-        bits_out[active] = hard
+        bits_out[active] = hard.T
     return bits_out, conv
+
+
+def _slot_product(T: np.ndarray, slots: np.ndarray, out: np.ndarray, factor: np.ndarray) -> None:
+    """out[c] = T[slots[0, c]] * T[slots[1, c]] * ..., multiplied left to right."""
+    np.take(T, slots[0], axis=0, out=out, mode="clip")
+    for row in slots[1:]:
+        out *= np.take(T, row, axis=0, out=factor, mode="clip")
 
 
 def _checks_satisfied(hard: np.ndarray, pcm: ParityCheckMatrix) -> np.ndarray:

@@ -53,11 +53,12 @@ def bisection_posterior(y, j_users: int, amplitude: float, n0: float):
     J.bit_length() rounds of bisection; settled entries stay put because
     d_J = -inf.  J = 1 takes the whole-mixture path, which gives NaN where
     scale*(y + a) overflows.  Samples are chunked by ffma_system._CHUNK as
-    in the simulator, since the chunking moves the LLR's last bit.
+    in the simulator, since the chunking moves the LLR's last bit; for the
+    same reason one sample is taken twice, as in the simulator.
     """
     J, a = int(j_users), float(amplitude)
     y_arr = np.asarray(y, dtype=np.float64)
-    flat = y_arr.reshape(-1)
+    flat = np.resize(y_arr, 2) if y_arr.size == 1 else y_arr.reshape(-1)
     log_comb = ffma_system._log_comb(J)
     scale = 4.0 * a / n0
     kappa = 2.0 * a * scale
@@ -98,4 +99,4 @@ def bisection_posterior(y, j_users: int, amplitude: float, n0: float):
         out[:] = np.where(start & 1, -part_llr, part_llr)
     if y_arr.ndim == 0:
         return float(llr[0])
-    return llr.reshape(y_arr.shape)
+    return llr[:y_arr.size].reshape(y_arr.shape)

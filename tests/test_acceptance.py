@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The desk-scale trend
 criteria (7a-7d) share one set of Monte-Carlo sweeps collected by a
 module-scoped fixture; with two workers on 2 CPUs the whole module takes
-about 2 minutes (107 s measured, 85 s of it in those sweeps).
+about a minute (the sweeps took 41 s in a 65 s run of the whole suite).
 """
 
 import dataclasses

@@ -105,6 +105,24 @@ def test_posterior_vectorized_matches_scalar():
         assert abs(p0[i] - s0) < 1e-15 and abs(p1[i] - s1) < 1e-15
 
 
+@pytest.mark.parametrize("j_users", [2, 30, 60, 300])
+def test_posterior_one_sample_equals_array_entry_bit_for_bit(j_users):
+    # A one-sample call, scalar or one-element array, must give the bits of
+    # that sample's entry in an array call (a per-frame reference compared
+    # bit for bit relies on it); windowed (a = 0.3) and whole-mixture cases.
+    rng = np.random.default_rng(70 + j_users)
+    for a, n0 in ((0.3, 0.2154), (0.3 / j_users, 3.0)):
+        y = rng.uniform(-a * j_users - 1.0, a * j_users + 1.0, 300)
+        whole = cfsp_posterior(y, j_users, a, n0)
+        scalar = np.array([cfsp_posterior(float(v), j_users, a, n0) for v in y])
+        single = np.concatenate([cfsp_posterior(y[i:i + 1], j_users, a, n0)
+                                 for i in range(y.size)])
+        nested = cfsp_posterior(y[:1, None], j_users, a, n0)
+        assert scalar.tobytes() == whole.tobytes(), (a, n0)
+        assert single.tobytes() == whole.tobytes(), (a, n0)
+        assert nested.shape == (1, 1) and nested.tobytes() == whole[:1].tobytes()
+
+
 @pytest.mark.parametrize("j_users", [1, 2, 30, 60, 300])
 def test_windowed_llr_matches_full_mixture_at_extremes(j_users):
     # The window keeps only the levels near the likelihood's peak; against

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bp_oracle import padded_bp_decode_batch
+from bp_oracle import frame_major_bp_decode_batch, padded_bp_decode_batch
 from ffma import linear_code
 from ffma.ffma_system import SystemConfig, _bit_priors, transmit_cfsp_batch
 from ffma.linear_code import (
@@ -243,12 +243,13 @@ def desk_code():
     return LinearCode.generate(600, 300, col_weight=3, seed=7)
 
 
-def _receiver_llr(code, mode, esn0_db, mu_pas=1.0, frames=100, seed=0):
-    """Detector LLRs of `frames` noisy J=60 frames on the (600, 300) code."""
+def _receiver_llr(code, mode, esn0_db, mu_pas=1.0, j_users=60, frames=100, seed=0):
+    """Detector LLRs of `frames` noisy frames on the (600, 300) code, k=5,
+    m=60: for DF and PA with J < 60, of ``code.shortened(5 * J)``."""
     n0 = 10.0 ** (-esn0_db / 10.0)
-    cfg = SystemConfig(code, k=5, j_users=60, mode=mode, mu_pas=mu_pas, n0=n0)
+    cfg = SystemConfig(code, k=5, j_users=j_users, mode=mode, mu_pas=mu_pas, n0=n0)
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(frames, 60, 5), dtype=np.uint8)
+    bits = rng.integers(0, 2, size=(frames, j_users, 5), dtype=np.uint8)
     y = transmit_cfsp_batch(bits, cfg) + rng.normal(0.0, math.sqrt(n0 / 2.0), (frames, 600))
     return _bit_priors(y, cfg)
 
@@ -285,12 +286,45 @@ def test_bp_matches_padded_oracle(toy_code, desk_code, tmp_path):
         # Most of these frames fall into a message cycle by iteration ~11;
         # 9, 17 and 23 make them leave it off-phase.
         (desk_code.pcm, _receiver_llr(desk_code, "PA", -12.0, mu_pas=60.0)),
+        # The shortened codes' rows have unequal degrees, so the check
+        # product reads 1.0-padded slots; ~65 % and ~83 % converge.
+        (desk_code.shortened(150), _receiver_llr(desk_code, "DF", -1.0, j_users=30)),
+        (desk_code.shortened(5), _receiver_llr(desk_code, "DF", -8.0, j_users=1)),
     ]
     for pcm, llr in cases:
         for max_iter in (0, 1, 9, 17, 23, 50):
             bits, conv = bp_decode_batch(llr, pcm, max_iter)
             ref_bits, ref_conv = padded_bp_decode_batch(llr, pcm, max_iter)
             assert (bits == ref_bits).all() and (conv == ref_conv).all(), (pcm.n, max_iter)
+
+
+def test_bp_matches_frame_major_decoder_bit_for_bit(desk_code):
+    # The frame-major decoder that the edge-major one replaced does the
+    # same arithmetic in the same order, cycle exit included, so decisions
+    # and flags must agree exactly on receiver LLRs of every mode.
+    rng = np.random.default_rng(14)
+    df_llr = _receiver_llr(desk_code, "DF", 0.0)
+    # 10 % erasures: some check products are exactly 0, so the zero count
+    # runs, and some checks hold two zeros.
+    erased = np.where(rng.random(df_llr.shape) < 0.1, 0.0, df_llr)
+    cases = [
+        (desk_code.pcm, _receiver_llr(desk_code, "SF", 0.5)),
+        (desk_code.pcm, df_llr),
+        (desk_code.pcm, erased),
+        # Many frames here pass the cycle screen without repeating a
+        # snapshot, so the full comparison must reject them.
+        (desk_code.pcm, _receiver_llr(desk_code, "PA", -12.0, mu_pas=60.0)),
+        (desk_code.shortened(150), _receiver_llr(desk_code, "DF", -1.0, j_users=30)),
+        (desk_code.shortened(150), _receiver_llr(desk_code, "PA", -12.0, 60.0, j_users=30)),
+        (desk_code.shortened(5), _receiver_llr(desk_code, "DF", -8.0, j_users=1)),
+        (desk_code.shortened(5), _receiver_llr(desk_code, "PA", -8.0, 60.0, j_users=1)),
+    ]
+    for pcm, llr in cases:
+        for max_iter in (0, 1, 9, 17, 23, 50):
+            bits, conv = bp_decode_batch(llr, pcm, max_iter)
+            ref_bits, ref_conv = frame_major_bp_decode_batch(llr, pcm, max_iter)
+            assert bits.tobytes() == ref_bits.tobytes(), (pcm.n, max_iter)
+            assert conv.tobytes() == ref_conv.tobytes(), (pcm.n, max_iter)
 
 
 def test_bp_cycle_exit_keeps_oscillating_decisions():
