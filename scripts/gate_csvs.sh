@@ -43,5 +43,14 @@ ffma --system SF "${desk[@]}" --j 30,60 --snr 0.25,0.5,0.75 \
 ffma --system DF --n 96 --k 4 --m 16 --j 2,16 --snr 2,5 --seed 11 \
     --min-frames 300 --max-frames 300 --out "$out/df96_ebn0.csv"
 
+# ALOHA with repeat counts 12, 4 and 2, through the stop rule; at -4 dB
+# every J errs, at 2 and 5 dB J=10 does not within 5000 frames.
+ffma --system ALOHA --n 600 --k 5 --snr-ref esn0 --seed 7 --j 10,30,60 --snr=-4,2,5 \
+    --min-frames 1000 --max-frames 5000 --min-errors 100 --out "$out/desk_aloha.csv"
+
+# DF through the 2-worker pool and the stop rule, as desk_sweep runs it.
+ffma --system DF "${desk[@]}" --j 30 --snr=-0.5,0 --min-frames 500 --max-frames 1500 \
+    --min-errors 150 --workers 2 --out "$out/desk_df_pool.csv"
+
 (cd "$out" && sha1sum c9_df.csv desk_sf.csv desk_df.csv desk_pa.csv \
-    desk_sf_waterfall.csv df96_ebn0.csv)
+    desk_sf_waterfall.csv df96_ebn0.csv desk_aloha.csv desk_df_pool.csv)

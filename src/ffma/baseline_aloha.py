@@ -48,12 +48,23 @@ def aloha_receive_batch(y, cfg: AlohaConfig) -> np.ndarray:
     samples and decide 1 on a positive sum (ties resolve to 0).  The
     noise level only scales the per-symbol LLRs by a common positive
     factor, so the decision does not need it.
+
+    Below 8 copies they are added as whole (batch, J, k) arrays from
+    copy 0 upward: a numpy ``sum`` over a repeat axis only 2 or 4 long
+    costs an inner-loop call per bit, and adds in the same order, so the
+    sums are the same bits.  From 8 copies on numpy's ``sum`` is kept: it
+    sums pairwise, and a loop over 20 or more copies is slower than it.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != cfg.n:
         raise ValueError(f"y must be (batch, {cfg.n}), got {y.shape}")
-    B = y.shape[0]
-    sums = y.reshape(B, cfg.j_users, cfg.k, cfg.repeat).sum(axis=3)
+    copies = y.reshape(y.shape[0], cfg.j_users, cfg.k, cfg.repeat)
+    if cfg.repeat >= 8:
+        sums = copies.sum(axis=3)
+    else:
+        sums = copies[..., 0].copy()
+        for c in range(1, cfg.repeat):
+            sums += copies[..., c]
     return (sums > 0).astype(np.uint8)
 
 

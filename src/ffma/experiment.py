@@ -9,11 +9,16 @@ Determinism: every batch of frames derives its message and noise streams
 from (seed, stream, point index, first frame index) alone, batches have
 a fixed size, and batch results are folded in index order, so the output
 is byte-identical for any worker count.
+
+Allocator: pool workers on DF or ALOHA points call ``keep_freed_memory``,
+so freed blocks under 32 MiB stay with the process for the next batch;
+importing the package or calling ``run_experiment`` does not.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import logging
 import math
 import time
@@ -148,10 +153,44 @@ def _load_code(spec: ExperimentSpec) -> LinearCode | None:
 # Batch simulation (worker side)
 # ---------------------------------------------------------------------------
 
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_FREED_BYTES = 32 << 20  # glibc's largest mmap threshold on 64-bit
+
+
+def keep_freed_memory() -> None:
+    """Have glibc keep freed blocks under 32 MiB for reuse by this process.
+
+    By default glibc serves large blocks with mmap and trims the heap,
+    raising both thresholds only after a block that large is freed, so a
+    process whose batches never free such a block hands every stage's
+    temporaries back to the OS and takes minor page faults to get them
+    again.  Both thresholds are set, or neither: setting one freezes the
+    other at its 128 KiB default, so the trim threshold is left alone
+    when the C library refuses the mmap threshold.  A silent no-op where
+    the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _KEEP_FREED_BYTES):
+        mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
+
+
+# Systems whose lone worker otherwise faults in every batch's temporaries
+# again; a PA worker's heap grows instead (about 3.6 MB more, and more
+# faults), and SF batches do not fault either way.
+_KEEP_FREED_SYSTEMS = ("DF", "ALOHA")
+
 _WORKER: dict = {}
 
 
 def _init_worker(spec: ExperimentSpec, code: LinearCode | None) -> None:
+    if spec.system in _KEEP_FREED_SYSTEMS:
+        keep_freed_memory()
     _WORKER["spec"] = spec
     _WORKER["code"] = code
 
@@ -174,15 +213,20 @@ def _simulate_batch(
     if spec.system == "ALOHA":
         cfg = AlohaConfig(n=spec.n, k=spec.k, j_users=j_users)
         r = aloha_cfsp_batch(bits, cfg)
-        y = r + noise_rng.normal(0.0, sigma, size=r.shape)
-        rx = aloha_receive_batch(y, cfg)
     else:
         cfg = SystemConfig(
             code=code, k=spec.k, j_users=j_users, mode=spec.system,
             mu_pas=spec.mu_pas, n0=n0, max_iter=spec.max_iter,
         )
         r = transmit_cfsp_batch(bits, cfg)
-        y = r + noise_rng.normal(0.0, sigma, size=r.shape)
+    # Generator.normal(0.0, sigma) is 0.0 + sigma*z on this stream, so
+    # scaling standard normals in place gives the same bits.
+    y = noise_rng.standard_normal(r.shape)
+    y *= sigma
+    y += r
+    if spec.system == "ALOHA":
+        rx = aloha_receive_batch(y, cfg)
+    else:
         rx, _conv = receive_batch(y, cfg)
 
     err = rx != bits

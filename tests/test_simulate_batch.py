@@ -1,0 +1,208 @@
+"""The batch simulator against its reference, and the pool workers' allocator.
+
+``_simulate_batch`` must give the reference's counts and per-user error
+arrays (``sim_oracle.py``), from the same noise samples.  DF and ALOHA
+pool workers call ``keep_freed_memory``; a warm 100-frame batch in a
+fresh worker then takes (almost) no minor page faults.
+"""
+
+import math
+import os
+import pickle
+import platform
+import subprocess
+import sys
+import textwrap
+import types
+
+import numpy as np
+import pytest
+
+from sim_oracle import reference_simulate_batch
+
+from ffma import experiment
+from ffma.baseline_aloha import AlohaConfig, aloha_cfsp_batch
+from ffma.experiment import ExperimentSpec, _noise_level, _simulate_batch
+from ffma.ffma_system import SystemConfig, transmit_cfsp_batch
+from ffma.linear_code import LinearCode
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+DESK = dict(n=600, k=5, m=60, snr_ref="esn0", seed=7)
+
+# (system, J, Es/N0 dB): every FFMA mode at its benchmark point and on the
+# waterfall, and ALOHA with repeat counts 120, 12, 4, 2 and 1.
+POINTS = [
+    ("SF", 60, 2.6), ("SF", 30, 0.5), ("SF", 1, -1.0),
+    ("DF", 30, -0.5), ("DF", 60, 0.0), ("DF", 1, -6.0),
+    ("PA", 60, -12.0), ("PA", 30, -9.5),
+    ("ALOHA", 1, -3.0), ("ALOHA", 10, 0.0), ("ALOHA", 30, 2.0),
+    ("ALOHA", 60, 5.0), ("ALOHA", 120, 7.0),
+]
+
+
+@pytest.fixture(scope="module")
+def desk_code():
+    return LinearCode.generate(600, 300, col_weight=3, seed=7)
+
+
+@pytest.mark.parametrize("system, j_users, snr_db", POINTS)
+def test_simulate_batch_matches_reference(desk_code, monkeypatch, system, j_users, snr_db):
+    spec = ExperimentSpec(
+        system=system, j_list=(j_users,), snr_grid=(snr_db,),
+        mu_pas=60.0 if system == "PA" else 1.0, **DESK,
+    )
+    code = None if system == "ALOHA" else desk_code
+    n0 = _noise_level(spec, j_users, snr_db)
+
+    # Record what the receiver is handed, to compare the channel outputs
+    # themselves and not only the decisions they lead to.
+    seen = []
+    name = "aloha_receive_batch" if system == "ALOHA" else "receive_batch"
+    receive = getattr(experiment, name)
+
+    def recording(y, cfg):
+        seen.append(y.copy())
+        return receive(y, cfg)
+
+    monkeypatch.setattr(experiment, name, recording)
+    for point_index, start_frame, count in ((0, 0, 100), (3, 200, 37)):
+        args = (spec, code, j_users, n0, point_index, start_frame, count)
+        got = _simulate_batch(*args)
+        want = reference_simulate_batch(*args)
+        assert got[:3] == want[:3]
+        assert got[3].dtype == want[3].dtype and np.array_equal(got[3], want[3])
+
+        # The channel output is the reference's r + normal(0, sigma), bit
+        # for bit.
+        bits = np.random.default_rng((spec.seed, 1, point_index, start_frame)).integers(
+            0, 2, size=(count, j_users, spec.k), dtype=np.uint8)
+        r = _channel_sum(spec, code, bits, n0)
+        noise = np.random.default_rng((spec.seed, 2, point_index, start_frame)).normal(
+            0.0, math.sqrt(n0 / 2.0), size=r.shape)
+        assert np.array_equal(seen[-1], r + noise)
+
+
+def _channel_sum(spec, code, bits, n0):
+    """The noiseless channel sum the simulator sends for ``bits``."""
+    j_users = bits.shape[1]
+    if spec.system == "ALOHA":
+        return aloha_cfsp_batch(bits, AlohaConfig(n=spec.n, k=spec.k, j_users=j_users))
+    cfg = SystemConfig(
+        code=code, k=spec.k, j_users=j_users, mode=spec.system,
+        mu_pas=spec.mu_pas, n0=n0, max_iter=spec.max_iter,
+    )
+    return transmit_cfsp_batch(bits, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Allocator thresholds in pool workers
+# ---------------------------------------------------------------------------
+
+_FAULT_PROBE = textwrap.dedent("""
+    import pickle, resource, statistics, sys
+    from ffma import experiment
+
+    with open(sys.argv[1], "rb") as fh:
+        spec, code, j_users, n0 = pickle.load(fh)
+    experiment._init_worker(spec, code)
+    faults = []
+    for b in range(13):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        experiment._worker_batch(j_users, n0, 0, 100 * b, 100)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(statistics.median(faults[3:]))
+""")
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="the allocator thresholds are glibc's",
+)
+def test_warm_aloha_worker_batches_do_not_fault(tmp_path):
+    # A fresh process that unpickles its initargs and runs one point, as a
+    # desk_sweep pool worker does: 3 warm-up batches, then the median
+    # minor-fault count of 10.  Without the thresholds glibc returns each
+    # batch's temporaries to the OS and faults them in again, 203 times
+    # per ALOHA batch.  (DF batches fault in spikes of up to ~2 000 whose
+    # place moves with the process's memory layout, so no fixed count
+    # tells the two apart reliably.)
+    system, j_users, snr_db = "ALOHA", 30, 2.0
+    spec = ExperimentSpec(system=system, j_list=(j_users,), snr_grid=(snr_db,), **DESK)
+    job = tmp_path / "job.pickle"
+    with open(job, "wb") as fh:
+        pickle.dump((spec, None, j_users, _noise_level(spec, j_users, snr_db)), fh)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, str(job)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert float(out.stdout) <= 10, out.stdout
+
+
+def test_keep_freed_memory_without_mallopt(monkeypatch):
+    # A C library without the symbol: the lookup raises AttributeError.
+    monkeypatch.setattr(experiment.ctypes, "CDLL", lambda name: object())
+    experiment.keep_freed_memory()
+
+
+def _fake_libc(ok):
+    """A C library whose ``mallopt`` records its calls and answers ``ok``."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return ok
+
+    return types.SimpleNamespace(mallopt=mallopt), calls
+
+
+@pytest.mark.parametrize("ok", [1, 0])
+def test_keep_freed_memory_sets_both_thresholds_or_neither(monkeypatch, ok):
+    # Where the C library refuses the mmap threshold (32 MiB is above its
+    # maximum, as on 32-bit glibc), setting the trim threshold alone would
+    # switch off the dynamic adjustment of the mmap threshold.
+    libc, calls = _fake_libc(ok)
+    monkeypatch.setattr(experiment.ctypes, "CDLL", lambda name: libc)
+    experiment.keep_freed_memory()
+    mmap = (experiment._M_MMAP_THRESHOLD, 32 << 20)
+    trim = (experiment._M_TRIM_THRESHOLD, 32 << 20)
+    assert calls == ([mmap, trim] if ok else [mmap])
+
+
+@pytest.mark.parametrize("system, keeps", [("DF", True), ("ALOHA", True), ("SF", False), ("PA", False)])
+def test_only_df_and_aloha_workers_keep_freed_memory(monkeypatch, system, keeps):
+    # A PA worker's heap grows under the thresholds (more faults and peak
+    # RSS), and SF batches do not fault without them.
+    calls = []
+    monkeypatch.setattr(experiment, "keep_freed_memory", lambda: calls.append(1))
+    monkeypatch.setattr(experiment, "_WORKER", {})
+    experiment._init_worker(ExperimentSpec(system=system, **DESK), None)
+    assert calls == ([1] if keeps else [])
+
+
+def test_import_and_serial_run_leave_the_allocator_alone(tmp_path):
+    # The thresholds are a per-process choice of the DF and ALOHA pool
+    # workers: importing the package or a one-worker ``ffma run`` (which
+    # calls ``run_experiment`` in its own process) must not load the C
+    # library to set them.
+    probe = textwrap.dedent("""
+        import ctypes, sys
+        loads = []
+        real = ctypes.CDLL
+        def spy(name, *args, **kwargs):
+            if name is None:
+                loads.append(name)
+            return real(name, *args, **kwargs)
+        ctypes.CDLL = spy
+        import ffma, ffma.cli
+        ffma.cli.main(["run", "--system", "ALOHA", "--n", "24", "--k", "2", "--j", "2",
+                       "--min-frames", "10", "--max-frames", "10", "--out", sys.argv[1]])
+        print(len(loads))
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "a.csv")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "0"
