@@ -1,10 +1,8 @@
 """Finite-field multiple-access coding over GF(2^m) with a GMAC simulator."""
 
-from .analysis import gain_figures
 from .baseline_aloha import AlohaConfig, aloha_cfsp_batch, aloha_receive_batch
 from .ep_code import (
     ElementPair,
-    EpSet,
     check_uspm,
     f_b2q,
     f_q2b,
@@ -18,7 +16,6 @@ from .ffma_system import (
     receive_batch,
     transmit_cfsp_batch,
 )
-from .gf2m import BasisGF2m
 from .linear_code import (
     LinearCode,
     ParityCheckMatrix,

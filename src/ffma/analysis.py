@@ -21,14 +21,6 @@ def repetition_gain_db(n: int, j_users: int, k: int) -> float:
     return 10.0 * math.log10(n / (j_users * k))
 
 
-def gain_figures(n: int, k: int, j_users: int, mu_pas: float) -> dict[str, float]:
-    """Closed-form gain figures for a scenario, in dB."""
-    return {
-        "polarization_gain_db": polarization_gain_db(mu_pas),
-        "repetition_gain_db": repetition_gain_db(n, j_users, k),
-    }
-
-
 def interpolate_snr_at_ber(snr_db, ber, target: float) -> float:
     """SNR (dB) where a measured curve crosses a target BER.
 

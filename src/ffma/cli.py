@@ -16,7 +16,7 @@ import logging
 import sys
 import typing
 
-from .analysis import gain_figures
+from .analysis import polarization_gain_db, repetition_gain_db
 from .experiment import ExperimentSpec, emit_plot_data, run_experiment
 
 log = logging.getLogger(__name__)
@@ -128,9 +128,10 @@ def main(argv=None) -> int:
             print(dat)
             print(gp)
         else:
-            figures = gain_figures(args.n, args.k, args.j, args.mu_pas)
-            print(f"polarization_gain_db={figures['polarization_gain_db']:.2f}")
-            print(f"repetition_gain_db={figures['repetition_gain_db']:.2f}")
+            pol = polarization_gain_db(args.mu_pas)
+            rep = repetition_gain_db(args.n, args.j, args.k)
+            print(f"polarization_gain_db={pol:.2f}")
+            print(f"repetition_gain_db={rep:.2f}")
     except (ValueError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,12 @@
 """Element-pair codes over GF(2^m).
 
+Field elements are plain integers whose binary digits are the
+coefficients of the m-tuple representation: bit i of an element holds the
+coefficient of alpha^i.  Addition is therefore a single XOR and alpha^i
+for 0 <= i < m is the one-hot integer ``1 << i``.  Orthogonal pairs never
+leave the GF(2)-span of that basis, so no multiplication (and hence no
+reduction polynomial) is needed, and m can be in the hundreds.
+
 An element pair (EP) maps one user's bit to one of two distinct field
 elements.  A set of J pairs is uniquely decodable when the map from the
 J-tuple of chosen elements to their finite-field sum (the FFSP) is
@@ -10,6 +17,7 @@ juxtaposes the users' bits inside one m-tuple.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 
@@ -28,26 +36,15 @@ class ElementPair:
             raise ValueError("element pair needs two distinct elements")
 
 
-@dataclass(frozen=True)
-class EpSet:
-    """Ordered element pairs; pair j-1 belongs to user j."""
+def orthogonal_ep_set(m: int, j_users: int) -> tuple[ElementPair, ...]:
+    """Orthogonal pairs over GF(2^m): user j gets (0, alpha^(j-1)), 1 <= j <= J <= m.
 
-    pairs: tuple[ElementPair, ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def orthogonal_ep_set(field, j_users: int) -> EpSet:
-    """Orthogonal pair set: user j gets (0, alpha^(j-1)), 1 <= j <= J <= m.
-
-    Distinct pairs have disjoint one-hot supports, which makes the sum
-    pattern trivially unique.
+    Pair j-1 belongs to user j.  Distinct pairs have disjoint one-hot
+    supports, which makes the sum pattern trivially unique.
     """
-    if not 1 <= j_users <= field.m:
-        raise ValueError(f"j_users={j_users} out of range [1, m={field.m}]")
-    pairs = tuple(ElementPair(0, field.power_of_alpha(j)) for j in range(j_users))
-    return EpSet(pairs=pairs)
+    if not 1 <= j_users <= m:
+        raise ValueError(f"j_users={j_users} out of range [1, m={m}]")
+    return tuple(ElementPair(0, 1 << j) for j in range(j_users))
 
 
 def f_b2q(bit: int, pair: ElementPair) -> int:
@@ -69,23 +66,22 @@ def f_q2b(w: int, user_index: int, m: int) -> int:
     return (w >> (user_index - 1)) & 1
 
 
-def check_uspm(eps: EpSet, j_users: int | None = None) -> bool:
-    """Exhaustive unique-sum-pattern check over the first J pairs.
+def check_uspm(pairs: Sequence[ElementPair]) -> bool:
+    """Exhaustive unique-sum-pattern check over every given pair.
 
     Enumerates all 2^J element tuples from the Cartesian product of the
     pairs and reports whether their sums are pairwise distinct (hash set
-    with early exit on the first collision).
+    with early exit on the first collision).  To check the first J users
+    only, pass ``pairs[:J]``.
     """
-    if j_users is None:
-        j_users = len(eps.pairs)
-    if not 1 <= j_users <= len(eps.pairs):
-        raise ValueError(f"j_users={j_users} out of range [1, {len(eps.pairs)}]")
-    if j_users > MAX_USPM_USERS:
+    if not pairs:
+        raise ValueError("need at least one element pair")
+    if len(pairs) > MAX_USPM_USERS:
         raise ValueError(
-            f"exhaustive check limited to {MAX_USPM_USERS} users, got {j_users}"
+            f"exhaustive check limited to {MAX_USPM_USERS} users, got {len(pairs)}"
         )
     sums = [0]
-    for pair in eps.pairs[:j_users]:
+    for pair in pairs:
         sums = [s ^ e for s in sums for e in (pair.e0, pair.e1)]
         # A collision among partial sums survives any common suffix, so
         # stage-wise checking is exact and allows an early exit.

@@ -517,6 +517,13 @@ def load_alist(path) -> ParityCheckMatrix:
                 if not 1 <= e <= n_checks:
                     raise ValueError(f"column {c} references check {e} outside [1, {n_checks}]")
                 row_adj[e - 1].append(c)
+        if data[3] != [len(row) for row in row_adj]:
+            raise ValueError("row degree list does not match the column section")
+        if len(data) < 4 + n + n_checks:
+            raise ValueError("truncated row adjacency section")
+        for r, row in enumerate(row_adj):
+            if sorted(e for e in data[4 + n + r] if e > 0) != [c + 1 for c in row]:
+                raise ValueError(f"row {r} does not match the column section")
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed alist file {path}: {exc}") from exc
     return ParityCheckMatrix(n, row_adj)

@@ -11,6 +11,7 @@ from mixture_oracle import bisection_posterior, full_mixture_posterior
 from per_user_tx import df_transmit, pa_transmit, sf_transmit, transmit, user_parity
 
 import ffma.ffma_system as ffma_system
+from ffma.ep_code import f_b2q, f_q2b, ffsp, orthogonal_ep_set
 from ffma.experiment import ExperimentSpec, per_user_frame_energy
 from ffma.ffma_system import SystemConfig, cfsp_posterior, receive_batch, transmit_cfsp_batch
 from ffma.linear_code import LinearCode, ParityCheckMatrix, bp_decode_batch, encode
@@ -323,6 +324,26 @@ def test_sf_two_user_ffsp_information_section(code16):
     w[0] = 1  # user 1, block 0, tuple position 0
     w[1] = 1  # user 2, block 0, tuple position 1
     assert ((n_plus[:8].astype(int) % 2) == w).all()
+
+
+@pytest.mark.parametrize("j_users", [1, 2, 5, 8])
+def test_sf_information_section_is_orthogonal_ep_sum(code96, j_users):
+    # The batched SF transmitter against the paper's definition: user j
+    # maps bit b to f_b2q(b, (0, alpha^(j-1))) in each block, and tuple
+    # position i of the sum pattern is sent as one antipodal symbol per user.
+    cfg = SystemConfig(code96, 4, j_users, "SF")
+    m, k = cfg.m, cfg.k
+    pairs = orthogonal_ep_set(m, j_users)
+    rng = np.random.default_rng(20 + j_users)
+    bits = rng.integers(0, 2, size=(6, j_users, k), dtype=np.uint8)
+    r = transmit_cfsp_batch(bits, cfg)
+    for f, b in itertools.product(range(bits.shape[0]), range(k)):
+        elements = [f_b2q(int(bits[f, j, b]), pairs[j]) for j in range(j_users)]
+        w = ffsp(elements)
+        for i in range(m):
+            total = sum(2 * f_q2b(e, i + 1, m) - 1 for e in elements)
+            assert r[f, b * m + i] == total
+            assert ((total + j_users) // 2) % 2 == f_q2b(w, i + 1, m)
 
 
 def test_df_support_and_shortened_length(code96):

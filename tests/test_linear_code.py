@@ -408,6 +408,12 @@ def test_alist_malformed_rejected(tmp_path):
         "4 2\n2 2\n1 2 1\n3 2\n",
         # column 1 lists check 1 twice
         "4 2\n2 2\n1 2 1 1\n3 2\n1 0\n1 1\n2 0\n1 0\n1 2 4 0\n2 3 0 0\n",
+        # rows say check 2 is {1, 2}, the columns say {2, 3}
+        "4 2\n2 2\n1 2 1 1\n3 2\n1 0\n1 2\n2 0\n1 0\n1 2 4 0\n1 2 0 0\n",
+        # row degree list disagrees with the columns
+        "4 2\n2 2\n1 2 1 1\n2 3\n1 0\n1 2\n2 0\n1 0\n1 2 4 0\n2 3 0 0\n",
+        # no row section
+        "4 2\n2 2\n1 2 1 1\n3 2\n1 0\n1 2\n2 0\n1 0\n",
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match="malformed alist"):
