@@ -9,8 +9,8 @@ import numpy as np
 
 def polarization_gain_db(mu_pas: float) -> float:
     """Power gain of boosting information symbols by mu_pas."""
-    if mu_pas <= 0:
-        raise ValueError("mu_pas must be positive")
+    if not 0 < mu_pas < math.inf:
+        raise ValueError(f"mu_pas={mu_pas} must be positive and finite")
     return 10.0 * math.log10(mu_pas)
 
 

@@ -17,7 +17,7 @@ import sys
 import typing
 
 from .analysis import polarization_gain_db, repetition_gain_db
-from .experiment import ExperimentSpec, emit_plot_data, run_experiment
+from .experiment import SYSTEMS, ExperimentSpec, emit_plot_data, run_experiment
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +68,7 @@ def build_spec(config: dict, overrides: dict) -> ExperimentSpec:
 def _add_run_parser(sub) -> None:
     p = sub.add_parser("run", help="run a Monte-Carlo BER sweep")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--system", choices=("SF", "DF", "PA", "ALOHA"))
+    p.add_argument("--system", choices=SYSTEMS)
     p.add_argument("--n", type=int, help="blocklength / degrees of freedom")
     p.add_argument("--k", type=int, help="bits per user")
     p.add_argument("--m", type=int, help="extension degree (FFMA systems)")

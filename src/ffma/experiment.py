@@ -97,6 +97,13 @@ class ExperimentSpec:
             raise ValueError("batch_frames and workers must be >= 1")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        for snr_db in self.snr_grid:
+            try:
+                ok = all(0.0 < _noise_level(self, j, snr_db) < math.inf for j in self.j_list)
+            except (ZeroDivisionError, OverflowError):
+                ok = False
+            if not ok:
+                raise ValueError(f"snr={snr_db:g} dB gives no positive finite noise level")
 
 
 @dataclass

@@ -9,8 +9,8 @@ Provides:
   section always occupies the first k coordinates), shortened on its
   trailing message bits;
 * sum-product belief-propagation decoding in the log-likelihood domain,
-  flooding schedule, early exit on a zero syndrome or on an exact
-  message cycle, batched over many frames at once;
+  flooding schedule, batched over many frames, each leaving on a zero
+  syndrome or at the iteration cap (earlier on an exact message cycle);
 * alist text interchange for sparse parity-check matrices.
 
 The decoder runs on one flat edge list in check order (Richardson &
@@ -28,9 +28,9 @@ are left out of the product, so an erased edge (its check's only zero)
 still receives the product of the rest.  Row v of ``var_slots`` holds
 column v's edge ids, padded with the sentinel, whose message is -0.0,
 summed as slot 0 + (slot 1 + slot 2 + ...): numpy's order for a sum of
-up to 8 terms.  Syndromes XOR the hard decisions over ``chk_slots``, the
-columns of ``chk_edges``' edges, padded with ``n``, which reads an
-all-zero row.  Loop buffers are reallocated only on a squeeze.
+up to 8 terms.  Syndromes XOR the decisions, an (n + 1, frames) array
+whose row n stays 0, over ``chk_slots``: the columns of ``chk_edges``'
+edges, padded with ``n``.  Loop buffers are reallocated only on a squeeze.
 A frame whose check messages repeat a snapshot bit for bit (Brent's cycle
 detection, snapshots at iterations 8, 16, 32, ...) leaves at the iteration
 whose decisions the full run would end on.
@@ -326,17 +326,21 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     ``llr`` holds each coordinate's channel LLR ``log(P(0)/P(1))``,
     clamped to +-40.  Returns the (batch, n) hard decisions and a (batch,)
     flag telling whether each frame's syndrome was zero (its decisions are
-    returned regardless).  Converged frames are squeezed out of the
-    working set each iteration.
+    returned regardless).
+
+    A frame leaves, squeezed out of the working set, through one test at
+    the top of each pass: pass 0 tests the channel decisions, pass i those
+    of iteration i - 1.  It leaves with them once they satisfy every check
+    or once i > ``leave``, the last iteration it needs, which starts at
+    max_iter - 1; so at most max(max_iter, 0) + 1 passes run.
 
     Messages are (edges + 1, frames) arrays, so each gather copies whole
     rows; a check's product of tanh(Lq/2) runs over its column of
     ``pcm.chk_edges`` from left to right (see the module docstring).
 
-    Frames caught in a message cycle are squeezed out too, with the
-    decisions the full run would return.  With L0 fixed, a frame's state
-    after iteration t is its check messages Lr_t, and one iteration maps
-    it to the next.  If Lr_t equals an earlier Lr_c bit for bit, the frame
+    The cycle exit lowers ``leave``.  With L0 fixed, a frame's state after
+    iteration t is its check messages Lr_t, and one iteration maps it to
+    the next.  If Lr_t equals an earlier Lr_c bit for bit, the frame
     repeats with period p = t - c, and every state of the cycle has
     already failed the syndrome test.  The full run would end unconverged
     on the decisions of iteration t + ((max_iter - 1 - t) mod p), so the
@@ -345,17 +349,7 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     llr0 = np.asarray(llr, dtype=np.float64)
     if llr0.ndim != 2 or llr0.shape[1] != pcm.n:
         raise ValueError(f"llr must be (batch, {pcm.n}), got {llr0.shape}")
-    llr0 = np.clip(llr0, -LLR_CLAMP, LLR_CLAMP)
-
-    hard = (llr0 < 0).astype(np.uint8)
-    bits_out = hard.copy()
-    # Convergence needs a zero syndrome AND a decided value everywhere; an
-    # LLR of exactly zero carries no decision (it defaults to 0).
-    ok = _checks_satisfied(hard, pcm) & ~(llr0 == 0).any(axis=1)
-    conv = ok.copy()
-    active = np.flatnonzero(~ok)
-    if active.size == 0 or max_iter <= 0:
-        return bits_out, conv
+    bits_out, conv = np.empty(llr0.shape, np.uint8), np.zeros(len(llr0), bool)
 
     # Message arrays carry one row past the last edge, the sentinel edge:
     # in T it is the factor 1.0 that unused check slots multiply by, in Lr
@@ -368,17 +362,35 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     var_rows = pcm.var_slots.T[np.roll(np.arange(pcm.var_slots.shape[1]), -1)]
     # Edges whose messages screen frames for a cycle, spread over the graph.
     screen = np.arange(0, n_edges, max(1, n_edges // 128))
-    L0 = llr0[active].T.copy()
+    active = np.arange(llr0.shape[0])
+    post = L0 = np.clip(llr0, -LLR_CLAMP, LLR_CLAMP).T.copy()
     Lq = np.take(L0, edge_var, axis=0)
     Lr = np.empty(0)
+    # The decisions under test; row n stays 0 for the padded chk_slots.
+    hard = np.zeros((pcm.n + 1, active.size), dtype=np.uint8)
     # Cycle exit: at iterations 8, 16, 32, ... (Brent's powers of two) Lr
     # is copied into `snap`, frame i's messages into column snap_col[i]; a
     # squeeze shrinks snap_col, not snap.  A frame found back in its
-    # snapshot state leaves at iteration `leave`.
+    # snapshot state gets the iteration it leaves after in `leave`.
     snap, snap_at = None, 0
-    snap_col, leave = np.arange(active.size), np.full(active.size, max_iter)
-    for it in range(max_iter):
-        if Lr.shape[-1] != active.size:  # first pass, or frames squeezed out
+    snap_col, leave = np.arange(active.size), np.full(active.size, max_iter - 1)
+    for it in range(max(max_iter, 0) + 1):
+        # Convergence needs a zero syndrome AND a decided value everywhere;
+        # an LLR of exactly zero carries no decision (it defaults to 0).
+        np.less(post, 0.0, out=hard[:-1].view(np.bool_))
+        ok = _checks_satisfied(hard, pcm) & ~(post == 0).any(axis=0)
+        done = ok | (leave < it)
+        if done.any():
+            bits_out[active[done]] = hard[:-1, done].T
+            conv[active[ok]] = True
+            keep = ~done
+            active = active[keep]
+            # compress keeps the squeezed arrays C-ordered; L0[:, keep] would not.
+            L0, Lq, hard = (a.compress(keep, axis=1) for a in (L0, Lq, hard))
+            snap_col, leave = snap_col[keep], leave[keep]
+        if active.size == 0:
+            break
+        if Lr.shape[-1] != active.size:  # first iteration, or frames squeezed out
             Lr = np.empty_like(Lq)
             prod = np.empty((pcm.n_checks, active.size))
             factor = np.empty_like(prod)
@@ -433,24 +445,6 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
         post += L0
         np.take(post, edge_var, axis=0, out=Lq, mode="clip")
         Lq -= Lr
-
-        hard = (post < 0).view(np.uint8)
-        ok = _checks_satisfied(hard.T, pcm) & ~(post == 0).any(axis=0)
-        done = ok | (leave == it)
-        if done.any():
-            bits_out[active[done]] = hard[:, done].T
-            conv[active[ok]] = True
-            keep = ~done
-            active = active[keep]
-            if active.size == 0:
-                break
-            # compress keeps the squeezed arrays C-ordered; L0[:, keep] would not.
-            L0 = L0.compress(keep, axis=1)
-            Lq = Lq.compress(keep, axis=1)
-            hard = hard.compress(keep, axis=1)
-            snap_col, leave = snap_col[keep], leave[keep]
-    if active.size:
-        bits_out[active] = hard.T
     return bits_out, conv
 
 
@@ -462,9 +456,8 @@ def _slot_product(T: np.ndarray, slots: np.ndarray, out: np.ndarray, factor: np.
 
 
 def _checks_satisfied(hard: np.ndarray, pcm: ParityCheckMatrix) -> np.ndarray:
-    bits = np.zeros((pcm.n + 1, hard.shape[0]), dtype=np.uint8)
-    bits[:pcm.n] = hard.T
-    return ~np.bitwise_xor.reduce(bits[pcm.chk_slots], axis=0).any(axis=0)
+    """Zero-syndrome flags of (n + 1, frames) decisions whose row n is 0."""
+    return ~np.bitwise_xor.reduce(hard[pcm.chk_slots], axis=0).any(axis=0)
 
 
 # ---------------------------------------------------------------------------

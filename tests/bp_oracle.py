@@ -8,13 +8,14 @@ never enters a division.  It has no cycle exit.
 
 ``frame_major_bp_decode_batch`` is the decoder as it was before the
 edge-major layout: its messages are (frames, edges) arrays and its check
-product is ``np.multiply.reduceat``; the cycle exit is the same.  It does
-the same arithmetic in the same order, so the two must agree bit for bit.
+product is ``np.multiply.reduceat``; the cycle exit is the same, and
+``checks_satisfied`` takes its (frames, n) decisions.  It does the same
+arithmetic in the same order, so the two must agree bit for bit.
 """
 
 import numpy as np
 
-from ffma.linear_code import LLR_CLAMP, ParityCheckMatrix, _checks_satisfied as checks_satisfied
+from ffma.linear_code import LLR_CLAMP, ParityCheckMatrix
 
 
 class _DecodeContext:
@@ -117,6 +118,12 @@ def _checks_satisfied(hard: np.ndarray, ctx: _DecodeContext) -> np.ndarray:
     gathered[:, ~ctx.by_check_mask] = 0
     parity = gathered.sum(axis=2) & 1
     return ~parity.any(axis=1)
+
+
+def checks_satisfied(hard: np.ndarray, pcm: ParityCheckMatrix) -> np.ndarray:
+    bits = np.zeros((pcm.n + 1, hard.shape[0]), dtype=np.uint8)
+    bits[:pcm.n] = hard.T
+    return ~np.bitwise_xor.reduce(bits[pcm.chk_slots], axis=0).any(axis=0)
 
 
 def frame_major_bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:

@@ -39,6 +39,12 @@ def all_codewords(code):
     return msgs, encode(msgs, code)
 
 
+def _padded(hard):
+    """(frames, n) decisions as the (n + 1, frames) array, row n zero, that
+    the syndrome test reads."""
+    return np.vstack([hard.T, np.zeros((1, hard.shape[0]), hard.dtype)])
+
+
 def test_construct_dimensions_and_weights(toy_code):
     pcm = toy_code.pcm
     assert pcm.n_checks == 6 and pcm.n == 12
@@ -175,7 +181,7 @@ def test_shortened_deletes_unsent_message_columns(n_sent):
     msgs = np.random.default_rng(12).integers(0, 2, size=(50, 32), dtype=np.uint8)
     msgs[:, n_sent:] = 0
     cws = encode(msgs, code)[:, keep]
-    assert _checks_satisfied(cws, short).all()
+    assert _checks_satisfied(_padded(cws), short).all()
 
 
 def test_bp_noiseless_is_identity(toy_code):
@@ -219,11 +225,20 @@ def test_bp_batch_matches_single(toy_code):
     msgs = rng.integers(0, 2, size=(16, 6), dtype=np.uint8)
     cws = encode(msgs, toy_code)
     noisy = np.clip(np.where(cws == 1, 0.9, 0.1) + rng.normal(0, 0.05, cws.shape), 0.01, 0.99)
-    batch_bits, batch_conv = bp_decode_batch(llr_from_p1(noisy), pcm, max_iter=20)
+    llr = llr_from_p1(noisy)
+    batch_bits, batch_conv = bp_decode_batch(llr, pcm, max_iter=20)
     for i in range(16):
-        bits, conv = bp_decode_batch(llr_from_p1(noisy[i : i + 1]), pcm, max_iter=20)
+        bits, conv = bp_decode_batch(llr[i : i + 1], pcm, max_iter=20)
         assert (bits[0] == batch_bits[i]).all()
         assert conv[0] == batch_conv[i]
+    # An empty batch gives empty results, and a negative budget returns
+    # what max_iter=0 does: the channel decisions.
+    bits, conv = bp_decode_batch(llr[:0], pcm)
+    assert bits.shape == (0, 12) and bits.dtype == np.uint8 and conv.shape == (0,)
+    bits, conv = bp_decode_batch(llr, pcm, max_iter=-1)
+    ref_bits, ref_conv = bp_decode_batch(llr, pcm, max_iter=0)
+    assert bits.tobytes() == ref_bits.tobytes() and conv.tobytes() == ref_conv.tobytes()
+    assert (bits == (llr < 0)).all()
 
 
 def test_bp_fills_erased_bits(toy_code):
@@ -348,7 +363,7 @@ def test_bp_cycle_exit_fires_on_pa(desk_code, monkeypatch):
     checks_satisfied = linear_code._checks_satisfied
 
     def counting(hard, pcm):
-        rows.append(hard.shape[0])
+        rows.append(hard.shape[1])
         return checks_satisfied(hard, pcm)
 
     monkeypatch.setattr(linear_code, "_checks_satisfied", counting)
@@ -373,8 +388,8 @@ def test_syndrome_counts_ones_per_check(toy_code, desk_code):
         assert (counts >= 2).any()  # a count-or-OR mix-up would show
         parity = counts % 2
         for bits in (hard, hard.astype(bool)):
-            assert (_checks_satisfied(bits, pcm) == ~parity.any(axis=0)).all()
-        assert _checks_satisfied(cws, pcm).all()
+            assert (_checks_satisfied(_padded(bits), pcm) == ~parity.any(axis=0)).all()
+        assert _checks_satisfied(_padded(cws), pcm).all()
 
 
 def test_alist_round_trip(tmp_path, toy_code):

@@ -49,6 +49,10 @@ def test_spec_validation():
                 tiny_spec(system=system, **bad)
     aloha = tiny_spec(system="ALOHA", m=0, j_list=(2,))
     assert aloha.m == 0  # m unused for the baseline
+    # Every J's n0 must be finite: at -3073 dB Eb/N0, ALOHA's n0 is
+    # 6e307 for J=8 but overflows for J=1, whose Eb is 8 times larger.
+    with pytest.raises(ValueError, match="snr=-3073 dB"):
+        tiny_spec(system="ALOHA", snr_ref="ebn0", j_list=(8, 1), snr_grid=(-3073.0,))
 
 
 def test_energy_accounting():
@@ -254,6 +258,27 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["-q", "plot", str(tmp_path / "nope.csv")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--system", "SF", "--snr=-inf"], "snr=-inf"),
+    (["run", "--system", "SF", "--snr=-4000"], "snr=-4000"),
+    (["run", "--system", "DF", "--snr=4000"], "snr=4000"),
+    (["run", "--system", "ALOHA", "--snr", "nan"], "snr=nan"),
+    (["run", "--system", "DF", "--snr", "nan"], "snr=nan"),
+    (["gains", "--n", "96", "--k", "4", "--j", "2", "--mu-pas", "nan"], "mu_pas=nan"),
+])
+def test_cli_rejects_non_finite_and_extreme_numbers(argv, named, tmp_path, capsys):
+    # 10 ** (snr / 10) overflows, underflows to 0 or is nan, so no positive
+    # finite n0 exists; log10 of a nan mu_pas is no gain.  Exit 2 naming
+    # the value, before anything is written.
+    out = tmp_path / "x.csv"
+    if argv[0] == "run":
+        argv = argv + ["--n", "96", "--k", "4", "--m", "8", "--j", "2", "--out", str(out)]
+    rc = main(["-q", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and not out.exists() and not captured.out
+    assert captured.err.startswith("error:") and named in captured.err
 
 
 def test_cli_rejects_nonpositive_n_and_k(tmp_path, capsys):
