@@ -10,6 +10,13 @@ from (seed, stream, point index, first frame index) alone, batches have
 a fixed size, and batch results are folded in index order, so the output
 is byte-identical for any worker count.
 
+Pool: with ``workers`` above 1 the (point, batch) pairs of the whole
+sweep form one in-order queue with ``2 * workers`` tasks in flight
+(``_run_pooled``), so the next point's batches start while the current
+point's last ones still run.  A point's ``wall_s`` therefore runs from
+the end of the previous point (from the sweep's start for the first),
+and the points' walls add up to the sweep's elapsed time.
+
 Allocator: pool workers on DF or ALOHA points call ``keep_freed_memory``,
 so freed blocks under 32 MiB stay with the process for the next batch;
 importing the package or calling ``run_experiment`` does not.
@@ -22,6 +29,7 @@ import ctypes
 import logging
 import math
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +38,7 @@ import numpy as np
 
 from .analysis import polarization_gain_db, repetition_gain_db
 from .baseline_aloha import AlohaConfig, aloha_cfsp_batch, aloha_receive_batch
-from .ffma_system import SystemConfig, receive_batch, transmit_cfsp_batch
+from .ffma_system import SystemConfig, pa_amplitudes, receive_batch, transmit_cfsp_batch
 from .linear_code import LinearCode
 
 log = logging.getLogger(__name__)
@@ -87,6 +95,8 @@ class ExperimentSpec:
                 raise ValueError("FFMA systems need the extension degree m")
             if max(self.j_list) > self.m:
                 raise ValueError(f"user counts {self.j_list} exceed m={self.m}")
+            if self.m * self.k >= self.n:
+                raise ValueError(f"the code needs m*k < n: m*k={self.m * self.k}, n={self.n}")
         if self.system == "PA" and not 1 <= self.mu_pas <= self.m:
             raise ValueError(f"mu_pas={self.mu_pas} violates 1 <= mu_pas <= m={self.m}")
         if self.min_frames < 1 or self.min_bit_errors < 1:
@@ -97,13 +107,26 @@ class ExperimentSpec:
             raise ValueError("batch_frames and workers must be >= 1")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        # The largest amplitude: sqrt(mu1) >= 1 in PA, 1 otherwise.
+        a_max = 1.0
+        if self.system == "PA":
+            a_max = pa_amplitudes(self.n, self.k, self.m, self.mu_pas)[0]
         for snr_db in self.snr_grid:
-            try:
-                ok = all(0.0 < _noise_level(self, j, snr_db) < math.inf for j in self.j_list)
-            except (ZeroDivisionError, OverflowError):
-                ok = False
-            if not ok:
-                raise ValueError(f"snr={snr_db:g} dB gives no positive finite noise level")
+            for j in self.j_list:
+                try:
+                    n0 = _noise_level(self, j, snr_db)
+                    # The CSV's Eb/N0 and Es/N0, and for FFMA the detector's
+                    # largest log-likelihood term 8 a^2 (J+1)^2 / n0, are finite.
+                    terms = [n0, per_user_frame_energy(self, j) / self.k / n0, 1.0 / n0]
+                    if self.system != "ALOHA":
+                        terms.append(8.0 * a_max ** 2 * (j + 1) ** 2 / n0)
+                    ok = all(0.0 < x < math.inf for x in terms)
+                except (ZeroDivisionError, OverflowError):
+                    ok = False
+                if not ok:
+                    raise ValueError(
+                        f"snr={snr_db:g} dB gives a noise level at which Eb/N0, Es/N0 "
+                        f"or the detector's arithmetic is not finite (J={j})")
 
 
 @dataclass
@@ -246,10 +269,15 @@ def _simulate_batch(
 
 
 def _worker_batch(j_users, n0, point_index, start_frame, count):
-    return _simulate_batch(
-        _WORKER["spec"], _WORKER["code"], j_users, n0, point_index,
-        start_frame, count,
-    )
+    """Simulate frames [start_frame, start_frame+count) of one grid point as
+    ``batch_frames`` slices, one result per slice."""
+    spec, code = _WORKER["spec"], _WORKER["code"]
+    stop = start_frame + count
+    return [
+        _simulate_batch(spec, code, j_users, n0, point_index, s,
+                        min(spec.batch_frames, stop - s))
+        for s in range(start_frame, stop, spec.batch_frames)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +285,25 @@ def _worker_batch(j_users, n0, point_index, start_frame, count):
 # ---------------------------------------------------------------------------
 
 class _PointAccumulator:
-    def __init__(self, j_users: int) -> None:
+    """Counts of one grid point, folded batch by batch in index order.
+
+    The point folds batches [0, end).  ``end`` starts at the frame budget's
+    batch count; once the bit errors reach ``min_bit_errors`` it drops to
+    the first fold that also covers ``min_frames``, so the stop rule is
+    decided as soon as it is known, not only when it is reached.
+    """
+
+    def __init__(self, spec: ExperimentSpec, j_users: int) -> None:
         self.frames = 0
         self.bit_errors = 0
         self.frame_errors = 0
         self.per_user = np.zeros(j_users, dtype=np.int64)
+        self.min_bit_errors = spec.min_bit_errors
+        self.must = math.ceil(spec.min_frames / spec.batch_frames)  # always folded
+        self.end = math.ceil(spec.max_frames / spec.batch_frames)
+        self.folded = 0
+        self.submitted = 0   # pool only: batches handed to a worker
+        self.discarded = 0   # pool only: batches computed past the stop
 
     def fold(self, result) -> None:
         count, bit_err, frame_err, per_user = result
@@ -269,43 +311,77 @@ class _PointAccumulator:
         self.bit_errors += bit_err
         self.frame_errors += frame_err
         self.per_user += per_user
+        self.folded += 1
+        if self.bit_errors >= self.min_bit_errors:
+            self.end = min(self.end, max(self.must, self.folded))
 
-    def done(self, spec: ExperimentSpec) -> bool:
-        return self.frames >= spec.min_frames and (
-            self.bit_errors >= spec.min_bit_errors or self.frames >= spec.max_frames
-        )
+    @property
+    def done(self) -> bool:
+        return self.folded >= self.end
 
 
-def _run_point(spec, code, executor, j_users, n0, point_index):
-    acc = _PointAccumulator(j_users)
+def _run_serial(spec, code, grid):
+    """Yield each grid point's accumulator, its batches run in this process."""
     B = spec.batch_frames
-    n_batches = math.ceil(spec.max_frames / B)
+    for point_index, (j_users, _, n0) in enumerate(grid):
+        acc = _PointAccumulator(spec, j_users)
+        while not acc.done:
+            start = acc.folded * B
+            acc.fold(_simulate_batch(spec, code, j_users, n0, point_index, start,
+                                     min(B, spec.max_frames - start)))
+        yield acc
 
-    def batch_args(b):
-        start = b * B
-        return j_users, n0, point_index, start, min(B, spec.max_frames - start)
 
-    if executor is None:
-        for b in range(n_batches):
-            acc.fold(_simulate_batch(spec, code, *batch_args(b)))
-            if acc.done(spec):
-                break
-    else:
-        inflight: dict = {}
-        next_submit = 0
-        next_fold = 0
-        while next_fold < n_batches:
-            while next_submit < n_batches and len(inflight) < 2 * spec.workers:
-                inflight[next_submit] = executor.submit(_worker_batch, *batch_args(next_submit))
-                next_submit += 1
-            acc.fold(inflight.pop(next_fold).result())
-            next_fold += 1
-            if acc.done(spec):
-                for fut in inflight.values():
-                    fut.cancel()
-                inflight.clear()
-                break
-    return acc
+def _run_pooled(spec, executor, grid):
+    """Yield each grid point's accumulator, in grid order, from one queue.
+
+    The (point, batch) pairs of the whole sweep form one in-order queue,
+    of which at most ``2 * workers`` tasks are in flight; results are
+    folded in submission order.  A point submits nothing past its decided
+    ``end``, and once it has nothing left to submit the next point's
+    batches take the free slots.  The batches below ``must`` are always
+    folded, so they go out as ``2 * workers`` near-equal groups, one task
+    each; later batches go one per task.  In-flight batches past a stop
+    decided later are cancelled, and those already running are counted in
+    ``discarded``.
+    """
+    B = spec.batch_frames
+    window = 2 * spec.workers
+    accs = [_PointAccumulator(spec, j_users) for j_users, _, _ in grid]
+    inflight: deque = deque()   # (point index, first batch, batches, future)
+    nxt = 0                     # the first point that may still submit
+
+    def submit(q: int) -> None:
+        acc, first = accs[q], accs[q].submitted
+        if first < acc.must:
+            size, extra = divmod(acc.must, window)
+            count = size + 1 if first < extra * (size + 1) else size
+        else:
+            count = 1
+        j_users, _, n0 = grid[q]
+        start = first * B
+        fut = executor.submit(_worker_batch, j_users, n0, q, start,
+                              min(count * B, spec.max_frames - start))
+        inflight.append((q, first, count, fut))
+        acc.submitted += count
+
+    for p, acc in enumerate(accs):
+        while not acc.done:
+            while len(inflight) < window:
+                while nxt < len(accs) and accs[nxt].submitted >= accs[nxt].end:
+                    nxt += 1
+                if nxt == len(accs):
+                    break
+                submit(nxt)
+            for result in inflight.popleft()[3].result():
+                acc.fold(result)
+            if acc.submitted > acc.end:
+                for task in [t for t in inflight if t[0] == p and t[1] >= acc.end]:
+                    inflight.remove(task)
+                    if not task[3].cancel():
+                        acc.discarded += task[2]
+                acc.submitted = acc.end
+        yield acc
 
 
 def run_experiment(spec: ExperimentSpec) -> list[BerPoint]:
@@ -317,6 +393,8 @@ def run_experiment(spec: ExperimentSpec) -> list[BerPoint]:
         for j in spec.j_list:
             log.info("J=%d: repetition gain %.2f dB", j, repetition_gain_db(spec.n, j, spec.k))
 
+    grid = [(j, snr_db, _noise_level(spec, j, snr_db))
+            for j in spec.j_list for snr_db in spec.snr_grid]
     executor = None
     if spec.workers > 1:
         executor = ProcessPoolExecutor(
@@ -326,34 +404,33 @@ def run_experiment(spec: ExperimentSpec) -> list[BerPoint]:
         )
     points: list[BerPoint] = []
     try:
-        point_index = 0
-        for j in spec.j_list:
-            for snr_db in spec.snr_grid:
-                n0 = _noise_level(spec, j, snr_db)
-                t0 = time.perf_counter()
-                acc = _run_point(spec, code, executor, j, n0, point_index)
-                wall = time.perf_counter() - t0
-                total_bits = acc.frames * j * spec.k
-                point = BerPoint(
-                    system=spec.system,
-                    snr_db=snr_db,
-                    j_users=j,
-                    frames=acc.frames,
-                    bit_errors=acc.bit_errors,
-                    ber=acc.bit_errors / total_bits,
-                    frame_errors=acc.frame_errors,
-                    wall_s=wall,
-                    ebn0_db=10.0 * math.log10(per_user_frame_energy(spec, j) / spec.k / n0),
-                    esn0_db=10.0 * math.log10(1.0 / n0),
-                    worst_user_ber=float(acc.per_user.max() / (acc.frames * spec.k)),
-                )
-                points.append(point)
-                log.info(
-                    "%s J=%d snr=%.2f dB: ber=%.3g (%d errors / %d frames, %.1f s)",
-                    spec.system, j, snr_db, point.ber, point.bit_errors,
-                    point.frames, wall,
-                )
-                point_index += 1
+        accs = (_run_serial(spec, code, grid) if executor is None
+                else _run_pooled(spec, executor, grid))
+        t_end = time.perf_counter()
+        for (j, snr_db, n0), acc in zip(grid, accs):
+            t_start, t_end = t_end, time.perf_counter()
+            wall = t_end - t_start
+            total_bits = acc.frames * j * spec.k
+            point = BerPoint(
+                system=spec.system,
+                snr_db=snr_db,
+                j_users=j,
+                frames=acc.frames,
+                bit_errors=acc.bit_errors,
+                ber=acc.bit_errors / total_bits,
+                frame_errors=acc.frame_errors,
+                wall_s=wall,
+                ebn0_db=10.0 * math.log10(per_user_frame_energy(spec, j) / spec.k / n0),
+                esn0_db=10.0 * math.log10(1.0 / n0),
+                worst_user_ber=float(acc.per_user.max() / (acc.frames * spec.k)),
+            )
+            points.append(point)
+            log.info(
+                "%s J=%d snr=%.2f dB: ber=%.3g (%d errors / %d frames, %.1f s, "
+                "%d batches computed past the stop)",
+                spec.system, j, snr_db, point.ber, point.bit_errors,
+                point.frames, wall, acc.discarded,
+            )
     finally:
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)

@@ -93,12 +93,20 @@ class SystemConfig:
             self.n_info = self.j_users * self.k
             self.shift = 0.0
         self.a_info = self.a_par = 1.0
-        if self.mode == "PA":  # total power n = k*mu1 + (n - m*k)*mu2, mu1/mu2 = mu_pas
+        if self.mode == "PA":
             if not 1 <= self.mu_pas <= self.m:
                 raise ValueError(
                     f"power scaling factor {self.mu_pas} violates 1 <= mu_pas <= m={self.m}")
-            mu2 = self.n / (self.k * self.mu_pas + self.n - self.m * self.k)
-            self.a_info, self.a_par = math.sqrt(self.mu_pas * mu2), math.sqrt(mu2)
+            self.a_info, self.a_par = pa_amplitudes(self.n, self.k, self.m, self.mu_pas)
+
+
+def pa_amplitudes(n: int, k: int, m: int, mu_pas: float) -> tuple[float, float]:
+    """PA's message and parity amplitudes (sqrt(mu1), sqrt(mu2)).
+
+    The total power n = k*mu1 + (n - m*k)*mu2 with mu1/mu2 = mu_pas.
+    """
+    mu2 = n / (k * mu_pas + n - m * k)
+    return math.sqrt(mu_pas * mu2), math.sqrt(mu2)
 
 
 # ---------------------------------------------------------------------------

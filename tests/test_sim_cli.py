@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,8 @@ def test_spec_validation():
         for bad in ({"n": 0}, {"n": -96}, {"k": 0}, {"k": -4}):
             with pytest.raises(ValueError, match="must be >= 1"):
                 tiny_spec(system=system, **bad)
+    with pytest.raises(ValueError, match="m\\*k < n"):
+        tiny_spec(n=32)  # m*k = 32 leaves the code no parity
     aloha = tiny_spec(system="ALOHA", m=0, j_list=(2,))
     assert aloha.m == 0  # m unused for the baseline
     # Every J's n0 must be finite: at -3073 dB Eb/N0, ALOHA's n0 is
@@ -267,6 +271,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     (["run", "--system", "ALOHA", "--snr", "nan"], "snr=nan"),
     (["run", "--system", "DF", "--snr", "nan"], "snr=nan"),
     (["gains", "--n", "96", "--k", "4", "--j", "2", "--mu-pas", "nan"], "mu_pas=nan"),
+    # n0 = 1e-307: Eb/N0 and the detector's 8 a^2 (J+1)^2 / n0 overflow.
+    (["run", "--system", "PA", "--snr", "3070", "--snr-ref", "esn0"], "snr=3070"),
 ])
 def test_cli_rejects_non_finite_and_extreme_numbers(argv, named, tmp_path, capsys):
     # 10 ** (snr / 10) overflows, underflows to 0 or is nan, so no positive
@@ -279,6 +285,18 @@ def test_cli_rejects_non_finite_and_extreme_numbers(argv, named, tmp_path, capsy
     captured = capsys.readouterr()
     assert rc == 2 and not out.exists() and not captured.out
     assert captured.err.startswith("error:") and named in captured.err
+
+
+@pytest.mark.parametrize("system", ["SF", "DF", "PA"])
+def test_noiseless_extreme_snr_decodes_every_bit(system, tmp_path):
+    # n0 = 1e-300, the most the spec lets through is a few dB further: every
+    # CSV column is finite and the detector raises no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (point,) = run_experiment(tiny_spec(system=system, snr_grid=(3000.0,),
+                                            output=str(tmp_path / "x.csv")))
+    assert point.ber == 0.0 and point.frames == 60
+    assert math.isfinite(point.ebn0_db) and point.esn0_db == 3000.0
 
 
 def test_cli_rejects_nonpositive_n_and_k(tmp_path, capsys):
