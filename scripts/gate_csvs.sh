@@ -60,10 +60,17 @@ ffma --system ALOHA --n 600 --k 5 --snr-ref esn0 --seed 7 --j 10,30,60 --snr=-4,
     --min-frames 2000 --max-frames 5000 --batch-frames 50 --min-errors 100 --workers 2 \
     --out "$out/desk_aloha_pool.csv"
 
+# SF and PA through the 2-worker pool.  The SF points stop all three ways
+# (150 errors before 500 frames, after it, or 1500 frames).
+ffma --system SF "${desk[@]}" --j 1,30 --snr=-1,0.5 --min-frames 500 --max-frames 1500 \
+    --min-errors 150 --workers 2 --out "$out/desk_sf_pool.csv"
+ffma --system PA "${desk[@]}" --mu-pas 60 --j 30,60 --snr=-12,-10 --min-frames 400 \
+    --max-frames 400 --workers 2 --out "$out/desk_pa_pool.csv"
+
 # DF capped at 9 iterations: at J=60 -0.25 dB most frames leave at the cap.
 ffma --system DF "${desk[@]}" --j 30,60 --snr=-0.25,0.75 --min-frames 300 --max-frames 300 \
     --max-iter 9 --out "$out/desk_df_iter9.csv"
 
 (cd "$out" && sha1sum c9_df.csv desk_sf.csv desk_df.csv desk_pa.csv \
     desk_sf_waterfall.csv df96_ebn0.csv desk_aloha.csv desk_df_pool.csv desk_df_iter9.csv \
-    desk_aloha_pool.csv)
+    desk_aloha_pool.csv desk_sf_pool.csv desk_pa_pool.csv)

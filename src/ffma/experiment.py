@@ -17,9 +17,9 @@ point's last ones still run.  A point's ``wall_s`` therefore runs from
 the end of the previous point (from the sweep's start for the first),
 and the points' walls add up to the sweep's elapsed time.
 
-Allocator: pool workers on DF or ALOHA points call ``keep_freed_memory``,
-so freed blocks under 32 MiB stay with the process for the next batch;
-importing the package or calling ``run_experiment`` does not.
+Allocator: every pool worker calls ``keep_freed_memory``, so freed blocks
+under 32 MiB stay with the process for the next batch; importing the
+package or calling ``run_experiment`` does not.
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ class ExperimentSpec:
                 raise ValueError(f"user counts {self.j_list} exceed m={self.m}")
             if self.m * self.k >= self.n:
                 raise ValueError(f"the code needs m*k < n: m*k={self.m * self.k}, n={self.n}")
+        else:
+            for j in self.j_list:
+                AlohaConfig(n=self.n, k=self.k, j_users=j)  # J | n and J*k | n
         if self.system == "PA" and not 1 <= self.mu_pas <= self.m:
             raise ValueError(f"mu_pas={self.mu_pas} violates 1 <= mu_pas <= m={self.m}")
         if self.min_frames < 1 or self.min_bit_errors < 1:
@@ -210,17 +213,11 @@ def keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
 
 
-# Systems whose lone worker otherwise faults in every batch's temporaries
-# again; a PA worker's heap grows instead (about 3.6 MB more, and more
-# faults), and SF batches do not fault either way.
-_KEEP_FREED_SYSTEMS = ("DF", "ALOHA")
-
 _WORKER: dict = {}
 
 
 def _init_worker(spec: ExperimentSpec, code: LinearCode | None) -> None:
-    if spec.system in _KEEP_FREED_SYSTEMS:
-        keep_freed_memory()
+    keep_freed_memory()
     _WORKER["spec"] = spec
     _WORKER["code"] = code
 
@@ -386,6 +383,9 @@ def _run_pooled(spec, executor, grid):
 
 def run_experiment(spec: ExperimentSpec) -> list[BerPoint]:
     """Run the sweep, write the CSV, and return the per-point records."""
+    if Path(spec.output).is_dir() or not Path(spec.output).parent.is_dir():
+        raise ValueError(f"cannot write the CSV to {spec.output}: it is a directory, "
+                         "or its directory does not exist")
     code = _load_code(spec)
     if spec.system == "PA":
         log.info("polarization gain %.2f dB", polarization_gain_db(spec.mu_pas))

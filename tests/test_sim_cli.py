@@ -53,6 +53,13 @@ def test_spec_validation():
         tiny_spec(n=32)  # m*k = 32 leaves the code no parity
     aloha = tiny_spec(system="ALOHA", m=0, j_list=(2,))
     assert aloha.m == 0  # m unused for the baseline
+    # ALOHA's slots need J | n (7 does not divide 96) and its repetition
+    # J*k | n (J=16: 16*4 = 64 does not divide 96), for every J.
+    for j_list in ((7,), (2, 16)):
+        with pytest.raises(ValueError, match="does not divide|cannot carry"):
+            tiny_spec(system="ALOHA", j_list=j_list)
+    with pytest.raises(ValueError, match="cannot carry 7 equally repeated bits"):
+        build_spec({}, {"system": "ALOHA", "n": 600, "k": 7, "j_list": "30", "snr_grid": "2"})
     # Every J's n0 must be finite: at -3073 dB Eb/N0, ALOHA's n0 is
     # 6e307 for J=8 but overflows for J=1, whose Eb is 8 times larger.
     with pytest.raises(ValueError, match="snr=-3073 dB"):
@@ -328,6 +335,23 @@ def test_negative_max_iter_rejected(tmp_path, capsys):
     code = LinearCode.generate(96, 32, col_weight=3, seed=3)
     with pytest.raises(ValueError):
         SystemConfig(code, k=4, j_users=2, mode="DF", max_iter=-1)
+
+
+def test_cli_rejects_an_unusable_out_before_building_code(tmp_path, monkeypatch, capsys):
+    # A missing directory or a directory itself: exit 2 naming the path,
+    # before the code is built or a frame is simulated.
+    def no_code(*args, **kwargs):
+        raise AssertionError("the code was built before the output path was checked")
+
+    monkeypatch.setattr(LinearCode, "generate", no_code)
+    for out in (tmp_path / "missing" / "sf.csv", tmp_path):
+        rc = main([
+            "-q", "run", "--system", "SF", "--n", "96", "--k", "4", "--m", "8",
+            "--j", "2", "--snr", "0", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and str(out) in err
+    assert list(tmp_path.iterdir()) == []  # no file, no directory
 
 
 def test_cli_rejects_bad_mu_pas_before_building_code(tmp_path, monkeypatch, capsys):

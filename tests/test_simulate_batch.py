@@ -1,9 +1,9 @@
 """The batch simulator against its reference, and the pool workers' allocator.
 
 ``_simulate_batch`` must give the reference's counts and per-user error
-arrays (``sim_oracle.py``), from the same noise samples.  DF and ALOHA
-pool workers call ``keep_freed_memory``; a warm 100-frame batch in a
-fresh worker then takes (almost) no minor page faults.
+arrays (``sim_oracle.py``), from the same noise samples.  Every pool
+worker calls ``keep_freed_memory``; a warm 100-frame batch in a fresh
+worker then takes (almost) no minor page faults.
 """
 
 import math
@@ -115,29 +115,52 @@ _FAULT_PROBE = textwrap.dedent("""
 """)
 
 
-@pytest.mark.skipif(
-    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-    reason="the allocator thresholds are glibc's",
-)
-def test_warm_aloha_worker_batches_do_not_fault(tmp_path):
-    # A fresh process that unpickles its initargs and runs one point, as a
-    # desk_sweep pool worker does: 3 warm-up batches, then the median
-    # minor-fault count of 10.  Without the thresholds glibc returns each
-    # batch's temporaries to the OS and faults them in again, 203 times
-    # per ALOHA batch.  (DF batches fault in spikes of up to ~2 000 whose
-    # place moves with the process's memory layout, so no fixed count
-    # tells the two apart reliably.)
-    system, j_users, snr_db = "ALOHA", 30, 2.0
-    spec = ExperimentSpec(system=system, j_list=(j_users,), snr_grid=(snr_db,), **DESK)
+def _warm_batch_faults(tmp_path, spec, code, j_users, snr_db):
+    """The median minor-fault count of a warm batch in a fresh worker.
+
+    A fresh process unpickles its initargs and runs one point, as a pool
+    worker does: 3 warm-up batches, then the median of 10.
+    """
     job = tmp_path / "job.pickle"
     with open(job, "wb") as fh:
-        pickle.dump((spec, None, j_users, _noise_level(spec, j_users, snr_db)), fh)
+        pickle.dump((spec, code, j_users, _noise_level(spec, j_users, snr_db)), fh)
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
         [sys.executable, "-c", _FAULT_PROBE, str(job)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
-    assert float(out.stdout) <= 10, out.stdout
+    return float(out.stdout)
+
+
+_GLIBC_ONLY = pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="the allocator thresholds are glibc's",
+)
+
+
+@_GLIBC_ONLY
+def test_warm_aloha_worker_batches_do_not_fault(tmp_path):
+    # Without the thresholds glibc returns each batch's temporaries to the
+    # OS and faults them in again, 203 times per ALOHA batch.  (DF batches
+    # fault in spikes of up to ~2 000 whose place moves with the process's
+    # memory layout, so no fixed count tells the two apart reliably.)
+    spec = ExperimentSpec(system="ALOHA", j_list=(30,), snr_grid=(2.0,), **DESK)
+    faults = _warm_batch_faults(tmp_path, spec, None, 30, 2.0)
+    assert faults <= 10, faults
+
+
+@_GLIBC_ONLY
+@pytest.mark.parametrize("system, mu_pas, j_users, snr_db", [
+    ("SF", 1.0, 1, -1.0), ("PA", 60.0, 60, -10.0),
+])
+def test_warm_ffma_worker_batches_do_not_fault(desk_code, tmp_path, system, mu_pas,
+                                               j_users, snr_db):
+    # Without the thresholds these batches take about 2 000 (SF) and
+    # 2 000-4 000 (PA) minor faults each.
+    spec = ExperimentSpec(system=system, j_list=(j_users,), snr_grid=(snr_db,),
+                          mu_pas=mu_pas, **DESK)
+    faults = _warm_batch_faults(tmp_path, spec, desk_code, j_users, snr_db)
+    assert faults <= 10, faults
 
 
 def test_keep_freed_memory_without_mallopt(monkeypatch):
@@ -170,20 +193,18 @@ def test_keep_freed_memory_sets_both_thresholds_or_neither(monkeypatch, ok):
     assert calls == ([mmap, trim] if ok else [mmap])
 
 
-@pytest.mark.parametrize("system, keeps", [("DF", True), ("ALOHA", True), ("SF", False), ("PA", False)])
-def test_only_df_and_aloha_workers_keep_freed_memory(monkeypatch, system, keeps):
-    # A PA worker's heap grows under the thresholds (more faults and peak
-    # RSS), and SF batches do not fault without them.
+@pytest.mark.parametrize("system", experiment.SYSTEMS)
+def test_every_pool_worker_keeps_freed_memory(monkeypatch, system):
     calls = []
     monkeypatch.setattr(experiment, "keep_freed_memory", lambda: calls.append(1))
     monkeypatch.setattr(experiment, "_WORKER", {})
     experiment._init_worker(ExperimentSpec(system=system, **DESK), None)
-    assert calls == ([1] if keeps else [])
+    assert calls == [1]
 
 
 def test_import_and_serial_run_leave_the_allocator_alone(tmp_path):
-    # The thresholds are a per-process choice of the DF and ALOHA pool
-    # workers: importing the package or a one-worker ``ffma run`` (which
+    # The thresholds are a per-process choice of the pool workers:
+    # importing the package or a one-worker ``ffma run`` (which
     # calls ``run_experiment`` in its own process) must not load the C
     # library to set them.
     probe = textwrap.dedent("""
