@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Write the refactor-gate CSVs for the ffma package under SRC and print
-# their SHA-1s.  A refactor keeps every file byte-identical (or explains
-# the diff), so compare the output of two checkouts:
+# Write the refactor-gate CSVs, and the plot pair of one of them, for the
+# ffma package under SRC and print their SHA-1s.  A refactor keeps every
+# file byte-identical (or explains the diff), so compare the output of two
+# checkouts:
 #
 #   scripts/gate_csvs.sh old/src out_old
 #   scripts/gate_csvs.sh src out_new
-#   diff <(cd out_old && sha1sum *.csv) <(cd out_new && sha1sum *.csv)
+#   diff <(cd out_old && sha1sum *.csv *.dat *.gp) <(cd out_new && sha1sum *.csv *.dat *.gp)
 #
 # The CSVs hold no wall time, so the files depend on the code alone.
 set -euo pipefail
@@ -47,6 +48,8 @@ ffma --system DF --n 96 --k 4 --m 16 --j 2,16 --snr 2,5 --seed 11 \
 # every J errs, at 2 and 5 dB J=10 does not within 5000 frames.
 ffma --system ALOHA --n 600 --k 5 --snr-ref esn0 --seed 7 --j 10,30,60 --snr=-4,2,5 \
     --min-frames 1000 --max-frames 5000 --min-errors 100 --out "$out/desk_aloha.csv"
+# Its plot pair (three J curves of three SNRs each) runs the CSV reader.
+PYTHONPATH="$src" python3 -m ffma.cli plot "$out/desk_aloha.csv" > /dev/null
 
 # DF through the 2-worker pool and the stop rule, as desk_sweep runs it.
 ffma --system DF "${desk[@]}" --j 30 --snr=-0.5,0 --min-frames 500 --max-frames 1500 \
@@ -73,4 +76,4 @@ ffma --system DF "${desk[@]}" --j 30,60 --snr=-0.25,0.75 --min-frames 300 --max-
 
 (cd "$out" && sha1sum c9_df.csv desk_sf.csv desk_df.csv desk_pa.csv \
     desk_sf_waterfall.csv df96_ebn0.csv desk_aloha.csv desk_df_pool.csv desk_df_iter9.csv \
-    desk_aloha_pool.csv desk_sf_pool.csv desk_pa_pool.csv)
+    desk_aloha_pool.csv desk_sf_pool.csv desk_pa_pool.csv desk_aloha.dat desk_aloha.gp)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .baseline_aloha import AlohaConfig
+
 
 def polarization_gain_db(mu_pas: float) -> float:
     """Power gain of boosting information symbols by mu_pas."""
@@ -15,10 +17,9 @@ def polarization_gain_db(mu_pas: float) -> float:
 
 
 def repetition_gain_db(n: int, j_users: int, k: int) -> float:
-    """Combining gain of repeating each bit n/(J*k) times."""
-    if n % (j_users * k):
-        raise ValueError(f"J*k = {j_users * k} does not divide n = {n}")
-    return 10.0 * math.log10(n / (j_users * k))
+    """Combining gain of repeating each bit n/(J*k) times; ``AlohaConfig``
+    rejects a slot layout that cannot hold the repetitions."""
+    return 10.0 * math.log10(AlohaConfig(n=n, k=k, j_users=j_users).repeat)
 
 
 def interpolate_snr_at_ber(snr_db, ber, target: float) -> float:

@@ -52,7 +52,10 @@ def _coerce(key: str, value):
         if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
             raise ValueError(f"{key}={value!r} is not a boolean (1/true/yes/on or 0/false/no/off)")
         return word in ("1", "true", "yes", "on")
-    return kind(value)
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{key}={value!r} is not {kind.__name__}") from None
 
 
 def build_spec(config: dict, overrides: dict) -> ExperimentSpec:
@@ -68,26 +71,26 @@ def build_spec(config: dict, overrides: dict) -> ExperimentSpec:
 def _add_run_parser(sub) -> None:
     p = sub.add_parser("run", help="run a Monte-Carlo BER sweep")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--system", choices=SYSTEMS)
-    p.add_argument("--n", type=int, help="blocklength / degrees of freedom")
-    p.add_argument("--k", type=int, help="bits per user")
-    p.add_argument("--m", type=int, help="extension degree (FFMA systems)")
+    p.add_argument("--system", help=f"one of {', '.join(SYSTEMS)}")
+    p.add_argument("--n", help="blocklength / degrees of freedom")
+    p.add_argument("--k", help="bits per user")
+    p.add_argument("--m", help="extension degree (FFMA systems)")
     p.add_argument("--j", dest="j_list", help="comma-separated user counts")
     p.add_argument("--snr", dest="snr_grid", help="comma-separated SNR grid in dB")
-    p.add_argument("--snr-ref", dest="snr_ref", choices=("ebn0", "esn0"),
-                   help="interpret the grid as per-user Eb/N0 or per-symbol Es/N0")
-    p.add_argument("--mu-pas", dest="mu_pas", type=float, help="PA power scaling factor")
-    p.add_argument("--min-frames", dest="min_frames", type=int)
-    p.add_argument("--max-frames", dest="max_frames", type=int)
-    p.add_argument("--min-errors", dest="min_bit_errors", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--col-weight", dest="col_weight", type=int)
+    p.add_argument("--snr-ref", dest="snr_ref",
+                   help="'ebn0' or 'esn0': the grid is per-user Eb/N0 or per-symbol Es/N0")
+    p.add_argument("--mu-pas", dest="mu_pas", help="PA power scaling factor")
+    p.add_argument("--min-frames", dest="min_frames")
+    p.add_argument("--max-frames", dest="max_frames")
+    p.add_argument("--min-errors", dest="min_bit_errors")
+    p.add_argument("--max-iter", dest="max_iter")
+    p.add_argument("--seed")
+    p.add_argument("--col-weight", dest="col_weight")
     p.add_argument("--code", dest="code_source",
                    help="'generated' or path to an alist parity-check file")
     p.add_argument("--out", dest="output", help="CSV output path")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--batch-frames", dest="batch_frames", type=int)
+    p.add_argument("--workers")
+    p.add_argument("--batch-frames", dest="batch_frames")
     p.add_argument("--timing", dest="record_timing", action="store_const", const=True,
                    help="record wall time into the CSV (breaks byte-level determinism)")
 

@@ -29,9 +29,10 @@ import ctypes
 import logging
 import math
 import time
+import typing
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +45,6 @@ from .linear_code import LinearCode
 log = logging.getLogger(__name__)
 
 SYSTEMS = ("SF", "DF", "PA", "ALOHA")
-
-CSV_HEADER = [
-    "system", "snr_db", "j", "frames", "bit_errors", "ber",
-    "frame_errors", "wall_s", "ebn0_db", "esn0_db", "worst_user_ber",
-]
 
 
 @dataclass(frozen=True)
@@ -134,11 +130,12 @@ class ExperimentSpec:
 
 @dataclass
 class BerPoint:
-    """Aggregated result of one (system, J, SNR) grid point."""
+    """Aggregated result of one (system, J, SNR) grid point, and its CSV row:
+    the fields, in order, are the columns (``column`` metadata renames one)."""
 
     system: str
     snr_db: float
-    j_users: int
+    j_users: int = field(metadata={"column": "j"})
     frames: int
     bit_errors: int
     ber: float
@@ -147,6 +144,11 @@ class BerPoint:
     ebn0_db: float
     esn0_db: float
     worst_user_ber: float
+
+
+_POINT_TYPES = typing.get_type_hints(BerPoint)
+_COLUMNS = {f.name: f.metadata.get("column", f.name) for f in fields(BerPoint)}
+CSV_HEADER = list(_COLUMNS.values())
 
 
 def per_user_frame_energy(spec: ExperimentSpec, j_users: int) -> float:
@@ -449,27 +451,22 @@ def write_csv(points, path, record_timing: bool = False) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for p in points:
-            writer.writerow([
-                p.system,
-                _fmt(p.snr_db),
-                p.j_users,
-                p.frames,
-                p.bit_errors,
-                _fmt(p.ber),
-                p.frame_errors,
-                f"{p.wall_s:.3f}" if record_timing else "0.000",
-                _fmt(p.ebn0_db),
-                _fmt(p.esn0_db),
-                _fmt(p.worst_user_ber),
-            ])
+            writer.writerow([_cell(p, name, record_timing) for name in _COLUMNS])
+
+
+def _cell(p: BerPoint, name: str, record_timing: bool):
+    value = getattr(p, name)
+    if name == "wall_s":
+        return f"{value:.3f}" if record_timing else "0.000"
+    return _fmt(value) if _POINT_TYPES[name] is float else value
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def read_csv(path) -> list[dict]:
-    """Read a results CSV back into dictionaries with numeric fields."""
+def read_csv(path) -> list[BerPoint]:
+    """Read a results CSV back into points, each column converted by its field's type."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -478,31 +475,28 @@ def read_csv(path) -> list[dict]:
         missing = [c for c in CSV_HEADER if c not in row or row[c] in (None, "")]
         if missing:
             raise ValueError(f"{path} is missing columns {missing}")
-        for key in ("snr_db", "ber", "wall_s", "ebn0_db", "esn0_db", "worst_user_ber"):
-            row[key] = float(row[key])
-        for key in ("j", "frames", "bit_errors", "frame_errors"):
-            row[key] = int(row[key])
-    return rows
+    return [BerPoint(**{name: _POINT_TYPES[name](row[col]) for name, col in _COLUMNS.items()})
+            for row in rows]
 
 
 def emit_plot_data(csv_path, out_prefix=None) -> tuple[str, str]:
     """Produce a gnuplot data file (one indexed block per system/J curve)
     and a ready-to-run script with a log-scale BER axis."""
-    rows = read_csv(csv_path)
+    points = read_csv(csv_path)
     prefix = Path(out_prefix) if out_prefix else Path(csv_path).with_suffix("")
     dat_path = str(prefix) + ".dat"
     gp_path = str(prefix) + ".gp"
 
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        groups.setdefault((row["system"], row["j"]), []).append(row)
+    groups: dict[tuple, list[BerPoint]] = {}
+    for p in points:
+        groups.setdefault((p.system, p.j_users), []).append(p)
 
     blocks = []
     titles = []
     for (system, j), grp in groups.items():
         lines = [f"# system={system} j={j}", "# snr_db ber"]
-        for row in sorted(grp, key=lambda r: r["snr_db"]):
-            lines.append(f"{row['snr_db']:.6g} {row['ber']:.6g}")
+        for p in sorted(grp, key=lambda p: p.snr_db):
+            lines.append(f"{p.snr_db:.6g} {p.ber:.6g}")
         blocks.append("\n".join(lines))
         titles.append(f"{system} J={j}")
     with open(dat_path, "w") as fh:

@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The desk-scale trend
 criteria (7a-7d) share one set of Monte-Carlo sweeps collected by a
 module-scoped fixture; with two workers on 2 CPUs the whole module takes
-about a minute (the sweeps took 48 s in a 79 s run of the whole suite,
-226 tests).
+about half a minute (the sweeps took 24 s in a 41 s run of the whole
+suite, 252 tests).
 """
 
 import dataclasses

@@ -77,7 +77,7 @@ def test_queue_stops_at_the_decided_batch_and_hands_over_early(
         submits = [e for _, e in mine if e[0] == "submit"]
         folds = [e for _, e in mine if e[0] == "fold"]
         folded = [b for e in folds for b in range(e[2], e[2] + e[3])]
-        assert folded == list(range(math.ceil(row["frames"] / B)))
+        assert folded == list(range(math.ceil(row.frames / B)))
 
         # Every submitted batch below MUST is folded.
         below = {b for e in submits for b in range(e[2], e[2] + e[3]) if b < MUST}
@@ -97,8 +97,8 @@ def test_queue_stops_at_the_decided_batch_and_hands_over_early(
         assert len(groups) == min(MUST, 2 * workers)
         assert all(e[3] == 1 for e in submits if e[2] >= MUST)
 
-        kind = ("early" if row["frames"] == SPEC["min_frames"]
-                else "max" if row["frames"] == SPEC["max_frames"] else "after")
+        kind = ("early" if row.frames == SPEC["min_frames"]
+                else "max" if row.frames == SPEC["max_frames"] else "after")
         stops.append(kind)
         last_fold = max(i for i, e in mine if e[0] == "fold")
         if kind != "after" and p + 1 < len(rows):
@@ -135,7 +135,7 @@ def test_fixed_frame_sweep_ends_its_last_group_with_a_short_batch(tmp_path):
         run_experiment(dataclasses.replace(spec, output=str(out), workers=workers))
         csvs.append(out.read_bytes())
     assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
-    assert all(row["frames"] == 250 for row in read_csv(tmp_path / "w1.csv"))
+    assert all(row.frames == 250 for row in read_csv(tmp_path / "w1.csv"))
 
 
 def test_worker_batch_returns_one_result_per_batch_slice(monkeypatch):

@@ -9,11 +9,13 @@ import pytest
 from ffma.cli import build_spec, main, parse_config_file
 from ffma.experiment import (
     CSV_HEADER,
+    BerPoint,
     ExperimentSpec,
     emit_plot_data,
     per_user_frame_energy,
     read_csv,
     run_experiment,
+    write_csv,
 )
 from ffma.ffma_system import SystemConfig
 from ffma.linear_code import LinearCode
@@ -80,9 +82,25 @@ def test_run_experiment_writes_csv(tmp_path):
     assert out.exists()
     rows = read_csv(out)
     assert len(rows) == len(points) == 1
-    assert rows[0]["system"] == "SF" and rows[0]["j"] == 2
+    assert rows[0].system == "SF" and rows[0].j_users == 2
     header = out.read_text().splitlines()[0]
     assert header.split(",")[: len(CSV_HEADER)] == CSV_HEADER
+
+
+@pytest.mark.parametrize("record_timing", [False, True])
+def test_csv_round_trip(record_timing, tmp_path):
+    # read_csv gives back the points run_experiment wrote, and writing them
+    # again reproduces the file byte for byte.
+    out = tmp_path / "r.csv"
+    points = run_experiment(tiny_spec(output=str(out), snr_grid=(0.0, 4.0), j_list=(1, 8),
+                                      record_timing=record_timing))
+    rows = read_csv(out)
+    assert all(type(row) is BerPoint for row in rows)
+    exact = ("system", "j_users", "frames", "bit_errors", "frame_errors")
+    assert ([[getattr(row, name) for name in exact] for row in rows]
+            == [[getattr(p, name) for name in exact] for p in points])
+    write_csv(rows, tmp_path / "again.csv", record_timing=record_timing)
+    assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
 
 
 def test_high_snr_gives_zero_ber(tmp_path):
@@ -264,6 +282,15 @@ def test_cli_gains(capsys):
     assert "repetition_gain_db=27.78" in out
 
 
+@pytest.mark.parametrize("n, k, j", [(96, 4, 0), (96, 0, 2), (0, 4, 2), (-96, 4, 2)])
+def test_cli_gains_rejects_nonpositive_layouts(n, k, j, capsys):
+    # ALOHA's slot rule, positivity included, lives in AlohaConfig alone.
+    rc = main(["-q", "gains", "--n", str(n), "--k", str(k), "--j", str(j)])
+    captured = capsys.readouterr()
+    assert rc == 2 and not captured.out
+    assert captured.err == "error: n, k and j_users must be positive\n"
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["-q", "run", "--system", "SF", "--n", "96"]) == 2  # missing k
     assert main(["-q", "plot", str(tmp_path / "nope.csv")]) == 2
@@ -385,7 +412,7 @@ def test_cli_timing(tmp_path):
     for name, args in runs.items():
         out = tmp_path / f"{name}.csv"
         assert main(args + ["--out", str(out)]) == 0
-        wall[name] = [row["wall_s"] for row in read_csv(out)]
+        wall[name] = [row.wall_s for row in read_csv(out)]
     assert any(w > 0 for w in wall["flag"])
     assert any(w > 0 for w in wall["config"])
     assert wall["default"] == [0.0, 0.0]
@@ -405,6 +432,21 @@ def test_cli_rejects_a_boolean_typo(tmp_path, capsys):
         assert build_spec(dict(base, record_timing=word), {}).record_timing is True
     for word in ("0", "false", "No", "off"):
         assert build_spec(dict(base, record_timing=word), {}).record_timing is False
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_bad_number_names_its_key(source, tmp_path, capsys):
+    # A flag and a config value go through the same conversion, so both
+    # name the key they set.
+    argv = ["-q", "run", "--system", "SF", "--k", "4", "--m", "8", "--j", "2", "--snr", "6"]
+    if source == "flag":
+        argv += ["--n", "x"]
+    else:
+        argv += ["--config", str(_write(tmp_path / "bad.cfg", "n = x\n"))]
+    out = tmp_path / "bad.csv"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == "error: n='x' is not int\n"
 
 
 def test_cli_config_file(tmp_path):
