@@ -74,6 +74,11 @@ ffma --system PA "${desk[@]}" --mu-pas 60 --j 30,60 --snr=-12,-10 --min-frames 4
 ffma --system DF "${desk[@]}" --j 30,60 --snr=-0.25,0.75 --min-frames 300 --max-frames 300 \
     --max-iter 9 --out "$out/desk_df_iter9.csv"
 
+# PA capped at 37 iterations: most frames fall into a message cycle, and
+# 37 puts the cap off-phase with the cycles they are caught in.
+ffma --system PA "${desk[@]}" --mu-pas 60 --j 30,60 --snr=-12,-10 --min-frames 300 \
+    --max-frames 300 --max-iter 37 --out "$out/desk_pa_iter37.csv"
+
 (cd "$out" && sha1sum c9_df.csv desk_sf.csv desk_df.csv desk_pa.csv \
     desk_sf_waterfall.csv df96_ebn0.csv desk_aloha.csv desk_df_pool.csv desk_df_iter9.csv \
-    desk_aloha_pool.csv desk_sf_pool.csv desk_pa_pool.csv desk_aloha.dat desk_aloha.gp)
+    desk_pa_iter37.csv desk_aloha_pool.csv desk_sf_pool.csv desk_pa_pool.csv desk_aloha.dat desk_aloha.gp)

@@ -72,8 +72,10 @@ class ExperimentSpec:
     record_timing: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "j_list", tuple(int(j) for j in self.j_list))
-        object.__setattr__(self, "snr_grid", tuple(float(s) for s in self.snr_grid))
+        object.__setattr__(self, "j_list",
+                           tuple(_convert(int, j, "j_list item") for j in self.j_list))
+        object.__setattr__(self, "snr_grid",
+                           tuple(_convert(float, s, "snr_grid item") for s in self.snr_grid))
         if self.system not in SYSTEMS:
             raise ValueError(f"system must be one of {SYSTEMS}, got {self.system!r}")
         if not self.snr_grid:
@@ -475,8 +477,18 @@ def read_csv(path) -> list[BerPoint]:
         missing = [c for c in CSV_HEADER if c not in row or row[c] in (None, "")]
         if missing:
             raise ValueError(f"{path} is missing columns {missing}")
-    return [BerPoint(**{name: _POINT_TYPES[name](row[col]) for name, col in _COLUMNS.items()})
-            for row in rows]
+    return [BerPoint(**{name: _convert(_POINT_TYPES[name], row[col],
+                                       f"{path} data row {i}, column {col}")
+                        for name, col in _COLUMNS.items()})
+            for i, row in enumerate(rows, 1)]
+
+
+def _convert(kind, value, where: str):
+    """kind(value), or a ValueError that says where the value came from."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: {value!r} is not {kind.__name__}") from None
 
 
 def emit_plot_data(csv_path, out_prefix=None) -> tuple[str, str]:

@@ -31,9 +31,13 @@ summed as slot 0 + (slot 1 + slot 2 + ...): numpy's order for a sum of
 up to 8 terms.  Syndromes XOR the decisions, an (n + 1, frames) array
 whose row n stays 0, over ``chk_slots``: the columns of ``chk_edges``'
 edges, padded with ``n``.  Loop buffers are reallocated only on a squeeze.
-A frame whose check messages repeat a snapshot bit for bit (Brent's cycle
-detection, snapshots at iterations 8, 16, 32, ...) leaves at the iteration
-whose decisions the full run would end on.
+A frame whose check messages repeat a snapshot bit for bit leaves after
+the pass that finds the repeat, with the decisions the full run would end
+on.  Snapshots are taken at iterations 8, 12, 16, 24, 32, 48, ... and all
+kept (cut down as their frames leave); a fingerprint of each frame's
+messages picks the frames worth comparing in full, and the decisions of
+every iteration from 8 on are kept packed, one bit per coordinate and
+frame.
 
 Bit/LLR conventions: codeword bits are 0/1; decoder inputs and internal
 messages are log-likelihood ratios ``log(P(0)/P(1))`` clamped to +-40.
@@ -331,20 +335,30 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     A frame leaves, squeezed out of the working set, through one test at
     the top of each pass: pass 0 tests the channel decisions, pass i those
     of iteration i - 1.  It leaves with them once they satisfy every check
-    or once i > ``leave``, the last iteration it needs, which starts at
-    max_iter - 1; so at most max(max_iter, 0) + 1 passes run.
+    or once i = max_iter, so at most max(max_iter, 0) + 1 passes run.  It
+    also leaves there if iteration i - 1 found it in a message cycle, with
+    the decisions that iteration stored for it.
 
     Messages are (edges + 1, frames) arrays, so each gather copies whole
     rows; a check's product of tanh(Lq/2) runs over its column of
     ``pcm.chk_edges`` from left to right (see the module docstring).
 
-    The cycle exit lowers ``leave``.  With L0 fixed, a frame's state after
-    iteration t is its check messages Lr_t, and one iteration maps it to
-    the next.  If Lr_t equals an earlier Lr_c bit for bit, the frame
-    repeats with period p = t - c, and every state of the cycle has
-    already failed the syndrome test.  The full run would end unconverged
-    on the decisions of iteration t + ((max_iter - 1 - t) mod p), so the
-    frame leaves there.
+    The cycle exit: with L0 fixed, a frame's state after iteration t is
+    its check messages Lr_t, and one iteration maps it to the next.  If
+    Lr_t equals an earlier Lr_c bit for bit, the frame repeats with period
+    p = t - c, and every state of the cycle has already failed the
+    syndrome test.  The full run would end unconverged on the decisions of
+    iteration max_iter - 1, which are those of iteration
+    c + ((max_iter - 1 - c) mod p), one of c, ..., t - 1; so the frame
+    leaves with those at the top of the next pass.  Lr is kept at
+    iterations 8, 12, 16, 24, 32, 48, ... (2^a and 3 * 2^a), each snapshot
+    for the frames active when it was taken, cut down to the active ones
+    once they are half as many, and every later Lr_t is compared with all
+    of them.  A fingerprint per frame, the wrapping sum of the bit patterns
+    of about 128 spread-out edges' messages, picks the frames worth
+    comparing in full; only the full bitwise comparison proves a repeat.
+    The decisions of iterations 8 to max_iter - 2 are kept packed along
+    frames, n x ceil(frames / 8) bytes each.
     """
     llr0 = np.asarray(llr, dtype=np.float64)
     if llr0.ndim != 2 or llr0.shape[1] != pcm.n:
@@ -360,36 +374,49 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     edge_chk = np.append(pcm.edge_chk, 0)
     # var_slots' columns in the order they are summed: 1, 2, ..., then 0.
     var_rows = pcm.var_slots.T[np.roll(np.arange(pcm.var_slots.shape[1]), -1)]
-    # Edges whose messages screen frames for a cycle, spread over the graph.
+    # Edges whose messages fingerprint a frame's state, spread over the graph.
     screen = np.arange(0, n_edges, max(1, n_edges // 128))
+    snap_its = {b << a for b in (2, 3) for a in range(2, max(max_iter, 1).bit_length())}
     active = np.arange(llr0.shape[0])
     post = L0 = np.clip(llr0, -LLR_CLAMP, LLR_CLAMP).T.copy()
     Lq = np.take(L0, edge_var, axis=0)
     Lr = np.empty(0)
     # The decisions under test; row n stays 0 for the padded chk_slots.
     hard = np.zeros((pcm.n + 1, active.size), dtype=np.uint8)
-    # Cycle exit: at iterations 8, 16, 32, ... (Brent's powers of two) Lr
-    # is copied into `snap`, frame i's messages into column snap_col[i]; a
-    # squeeze shrinks snap_col, not snap.  A frame found back in its
-    # snapshot state gets the iteration it leaves after in `leave`.
-    snap, snap_at = None, 0
-    snap_col, leave = np.arange(active.size), np.full(active.size, max_iter - 1)
+    # Cycle exit: (iteration, frames, Lr) per snapshot and (frames, packed
+    # decisions) per iteration from 8 on, where `frames` are the frames
+    # they hold, sorted, so np.searchsorted finds a frame's column.
+    # `marks` holds the snapshots' fingerprints, one row each, squeezed
+    # with the active frames.
+    snaps, decided = [], []
+    marks = np.empty((0, active.size), np.int64)
+    cycled = np.zeros(active.size, bool)
     for it in range(max(max_iter, 0) + 1):
         # Convergence needs a zero syndrome AND a decided value everywhere;
         # an LLR of exactly zero carries no decision (it defaults to 0).
         np.less(post, 0.0, out=hard[:-1].view(np.bool_))
-        ok = _checks_satisfied(hard, pcm) & ~(post == 0).any(axis=0)
-        done = ok | (leave < it)
+        ok = _checks_satisfied(hard, pcm)
+        if ok.any() and not post.all():
+            ok &= post.all(axis=0)
+        # A frame that cycled (below) has its decisions in bits_out already.
+        stop = ok | (it == max_iter)
+        done = stop | cycled
         if done.any():
-            bits_out[active[done]] = hard[:-1, done].T
+            bits_out[active[stop]] = hard[:-1, stop].T
             conv[active[ok]] = True
             keep = ~done
             active = active[keep]
             # compress keeps the squeezed arrays C-ordered; L0[:, keep] would not.
-            L0, Lq, hard = (a.compress(keep, axis=1) for a in (L0, Lq, hard))
-            snap_col, leave = snap_col[keep], leave[keep]
+            L0, Lq, hard, marks = (a.compress(keep, axis=1) for a in (L0, Lq, hard, marks))
+            # A snapshot is cut down to the active frames once they are half
+            # of its own: wide copies held to the end fragment the heap.
+            snaps = [(at, active, snap[:, np.searchsorted(frames, active)])
+                     if 2 * active.size <= frames.size else (at, frames, snap)
+                     for at, frames, snap in snaps]
         if active.size == 0:
             break
+        if it > 8:
+            decided.append((active, np.packbits(hard[:-1], axis=1)))
         if Lr.shape[-1] != active.size:  # first iteration, or frames squeezed out
             Lr = np.empty_like(Lq)
             prod = np.empty((pcm.n_checks, active.size))
@@ -421,22 +448,25 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
         np.clip(Lr, -LLR_CLAMP, LLR_CLAMP, out=Lr)
         Lr[n_edges] = -0.0
 
-        # Bit-for-bit repeat of the snapshot: period it - snap_at, so the
-        # full run would end on the decisions of the iteration in phase
-        # with max_iter - 1.  The messages on the `screen` edges pick the
-        # frames worth comparing in full.
-        if snap is not None:
-            head = Lr[screen].view(np.int64) == snap_head[:, snap_col]
-            maybe = np.flatnonzero(head.all(axis=0))
-            if maybe.size:
-                whole = snap[:, snap_col[maybe]].view(np.int64)
-                cycling = maybe[(Lr[:, maybe].view(np.int64) == whole).all(axis=0)]
-                leave[cycling] = it + (max_iter - 1 - it) % (it - snap_at)
-        if it >= 8 and it & (it - 1) == 0:
-            snap = Lr.copy()
-            snap_head = snap[screen].view(np.int64)
-            snap_col = np.arange(active.size)
-            snap_at = it
+        # A frame back in a snapshot's state gets the decisions of the
+        # iteration in phase with max_iter - 1 (see the docstring).
+        cycled = np.zeros(active.size, bool)
+        if it >= 8:
+            mark = Lr[screen].view(np.int64).sum(axis=0)
+            hits = marks == mark
+            for i in np.flatnonzero(hits.any(axis=1)):
+                at, frames, snap = snaps[i]
+                maybe = np.flatnonzero(hits[i] & ~cycled)
+                col = np.searchsorted(frames, active[maybe])
+                same = Lr[:, maybe].view(np.int64) == snap[:, col].view(np.int64)
+                found = maybe[same.all(axis=0)]
+                cycled[found] = True
+                kept, packed = decided[at + (max_iter - 1 - at) % (it - at) - 8]
+                col = np.searchsorted(kept, active[found])
+                bits_out[active[found]] = (packed[:, col >> 3] >> (7 - (col & 7)) & 1).T
+            if it in snap_its:
+                snaps.append((it, active, Lr.copy()))
+                marks = np.vstack([marks, mark])
 
         # Variable-node update and posterior: L0 + (slot 0 + (slot 1 + ...)).
         np.take(Lr, var_rows[0], axis=0, out=post, mode="clip")
@@ -457,7 +487,10 @@ def _slot_product(T: np.ndarray, slots: np.ndarray, out: np.ndarray, factor: np.
 
 def _checks_satisfied(hard: np.ndarray, pcm: ParityCheckMatrix) -> np.ndarray:
     """Zero-syndrome flags of (n + 1, frames) decisions whose row n is 0."""
-    return ~np.bitwise_xor.reduce(hard[pcm.chk_slots], axis=0).any(axis=0)
+    syndrome = np.take(hard, pcm.chk_slots[0], axis=0)
+    for row in pcm.chk_slots[1:]:
+        syndrome ^= np.take(hard, row, axis=0)
+    return ~syndrome.any(axis=0)
 
 
 # ---------------------------------------------------------------------------

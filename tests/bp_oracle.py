@@ -8,9 +8,13 @@ never enters a division.  It has no cycle exit.
 
 ``frame_major_bp_decode_batch`` is the decoder as it was before the
 edge-major layout: its messages are (frames, edges) arrays and its check
-product is ``np.multiply.reduceat``; the cycle exit is the same, and
-``checks_satisfied`` takes its (frames, n) decisions.  It does the same
-arithmetic in the same order, so the two must agree bit for bit.
+product is ``np.multiply.reduceat``, and ``checks_satisfied`` takes its
+(frames, n) decisions.  It does the same arithmetic in the same order, so
+the two must agree bit for bit in the decisions and flags they return.
+Its cycle exit is Brent's: one snapshot, moved to iterations 8, 16,
+32, ..., and a frame found in a cycle keeps iterating until the iteration
+in phase with max_iter - 1.  So it leaves later than ``bp_decode_batch``,
+which must match it in what each frame returns, not in when it leaves.
 """
 
 import numpy as np

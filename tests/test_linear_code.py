@@ -9,6 +9,7 @@ from bp_oracle import frame_major_bp_decode_batch, padded_bp_decode_batch
 from ffma import linear_code
 from ffma.ffma_system import SystemConfig, _bit_priors, transmit_cfsp_batch
 from ffma.linear_code import (
+    LLR_CLAMP,
     LinearCode,
     ParityCheckMatrix,
     _checks_satisfied,
@@ -279,6 +280,13 @@ def _irregular_pcm(tmp_path):
     return load_alist(path)
 
 
+# Iteration caps the decoder is compared at.  Cases whose frames fall into
+# message cycles also run caps that put the exit off-phase with cycles
+# found against each of the snapshots 8, 12, 16, 24, 32 and 48.
+CAPS = (0, 1, 9, 17, 23, 50)
+CYCLE_CAPS = CAPS + (13, 27, 37, 64)
+
+
 def test_bp_matches_padded_oracle(toy_code, desk_code, tmp_path):
     rng = np.random.default_rng(9)
     toy_llr = rng.normal(0.0, 3.0, size=(200, 12))
@@ -292,22 +300,24 @@ def test_bp_matches_padded_oracle(toy_code, desk_code, tmp_path):
     irr_llr = 2.0 / 0.64 * (1.0 + rng.normal(0.0, 0.8, size=(300, 48)))
     irr_erased = np.where(rng.random(irr_llr.shape) < 0.1, 0.0, irr_llr)
     cases = [
-        (toy_code.pcm, toy_llr),
-        (irregular, irr_llr),
-        (irregular, irr_erased),
-        (desk_code.pcm, _receiver_llr(desk_code, "SF", 0.5)),
+        # Some of these frames' cycles are found only against the snapshots
+        # at 16, 24, 32 and 48.
+        (toy_code.pcm, toy_llr, CYCLE_CAPS),
+        (irregular, irr_llr, CAPS),
+        (irregular, irr_erased, CAPS),
+        (desk_code.pcm, _receiver_llr(desk_code, "SF", 0.5), CAPS),
         # ~70 % of these frames converge part-way: squeezes mid-decode.
-        (desk_code.pcm, _receiver_llr(desk_code, "DF", 0.0)),
-        # Most of these frames fall into a message cycle by iteration ~11;
-        # 9, 17 and 23 make them leave it off-phase.
-        (desk_code.pcm, _receiver_llr(desk_code, "PA", -12.0, mu_pas=60.0)),
+        (desk_code.pcm, _receiver_llr(desk_code, "DF", 0.0), CAPS),
+        # Every one of these frames falls into a message cycle, most of them
+        # found against the snapshot at 8 or 12.
+        (desk_code.pcm, _receiver_llr(desk_code, "PA", -12.0, mu_pas=60.0), CYCLE_CAPS),
         # The shortened codes' rows have unequal degrees, so the check
         # product reads 1.0-padded slots; ~65 % and ~83 % converge.
-        (desk_code.shortened(150), _receiver_llr(desk_code, "DF", -1.0, j_users=30)),
-        (desk_code.shortened(5), _receiver_llr(desk_code, "DF", -8.0, j_users=1)),
+        (desk_code.shortened(150), _receiver_llr(desk_code, "DF", -1.0, j_users=30), CAPS),
+        (desk_code.shortened(5), _receiver_llr(desk_code, "DF", -8.0, j_users=1), CAPS),
     ]
-    for pcm, llr in cases:
-        for max_iter in (0, 1, 9, 17, 23, 50):
+    for pcm, llr, caps in cases:
+        for max_iter in caps:
             bits, conv = bp_decode_batch(llr, pcm, max_iter)
             ref_bits, ref_conv = padded_bp_decode_batch(llr, pcm, max_iter)
             assert (bits == ref_bits).all() and (conv == ref_conv).all(), (pcm.n, max_iter)
@@ -315,42 +325,67 @@ def test_bp_matches_padded_oracle(toy_code, desk_code, tmp_path):
 
 def test_bp_matches_frame_major_decoder_bit_for_bit(desk_code):
     # The frame-major decoder that the edge-major one replaced does the
-    # same arithmetic in the same order, cycle exit included, so decisions
-    # and flags must agree exactly on receiver LLRs of every mode.
+    # same arithmetic in the same order, so decisions and flags must agree
+    # exactly on receiver LLRs of every mode.  Its cycle exit is Brent's,
+    # which finds the repeats later and leaves in phase, so only what a
+    # frame returns must agree, not when it leaves.
     rng = np.random.default_rng(14)
     df_llr = _receiver_llr(desk_code, "DF", 0.0)
     # 10 % erasures: some check products are exactly 0, so the zero count
     # runs, and some checks hold two zeros.
     erased = np.where(rng.random(df_llr.shape) < 0.1, 0.0, df_llr)
     cases = [
-        (desk_code.pcm, _receiver_llr(desk_code, "SF", 0.5)),
-        (desk_code.pcm, df_llr),
-        (desk_code.pcm, erased),
-        # Many frames here pass the cycle screen without repeating a
-        # snapshot, so the full comparison must reject them.
-        (desk_code.pcm, _receiver_llr(desk_code, "PA", -12.0, mu_pas=60.0)),
-        (desk_code.shortened(150), _receiver_llr(desk_code, "DF", -1.0, j_users=30)),
-        (desk_code.shortened(150), _receiver_llr(desk_code, "PA", -12.0, 60.0, j_users=30)),
-        (desk_code.shortened(5), _receiver_llr(desk_code, "DF", -8.0, j_users=1)),
-        (desk_code.shortened(5), _receiver_llr(desk_code, "PA", -8.0, 60.0, j_users=1)),
+        (desk_code.pcm, _receiver_llr(desk_code, "SF", 0.5), CAPS),
+        (desk_code.pcm, df_llr, CAPS),
+        (desk_code.pcm, erased, CAPS),
+        # Many frames here match a snapshot's fingerprint without repeating
+        # the snapshot, and the full comparison rejects them.
+        (desk_code.pcm, _receiver_llr(desk_code, "PA", -12.0, mu_pas=60.0), CYCLE_CAPS),
+        (desk_code.shortened(150), _receiver_llr(desk_code, "DF", -1.0, j_users=30), CAPS),
+        # Cycles found against the snapshots at 8, 12 and 16.
+        (desk_code.shortened(150), _receiver_llr(desk_code, "PA", -12.0, 60.0, j_users=30),
+         CYCLE_CAPS),
+        (desk_code.shortened(5), _receiver_llr(desk_code, "DF", -8.0, j_users=1), CAPS),
+        (desk_code.shortened(5), _receiver_llr(desk_code, "PA", -8.0, 60.0, j_users=1), CAPS),
     ]
-    for pcm, llr in cases:
-        for max_iter in (0, 1, 9, 17, 23, 50):
+    for pcm, llr, caps in cases:
+        for max_iter in caps:
             bits, conv = bp_decode_batch(llr, pcm, max_iter)
             ref_bits, ref_conv = frame_major_bp_decode_batch(llr, pcm, max_iter)
             assert bits.tobytes() == ref_bits.tobytes(), (pcm.n, max_iter)
             assert conv.tobytes() == ref_conv.tobytes(), (pcm.n, max_iter)
 
 
+# On LinearCode.generate(n=8, k=4, col_weight=3, seed=1), these frames'
+# messages settle into a period-2 cycle whose hard decisions flip every
+# iteration.
+OSCILLATING = np.array([[-3, -3, 3, 3, -3, 3, 3, -3],
+                        [-3, 3, -3, 3, 3, -3, 3, -3],
+                        [3, -3, -3, 3, 3, 3, -3, -3]], dtype=np.float64)
+
+
 def test_bp_cycle_exit_keeps_oscillating_decisions():
-    # These frames' messages settle into a period-2 cycle whose hard
-    # decisions flip every iteration, so a frame that left the cycle on
-    # the wrong phase would return the other half's bits.
+    # A frame that left the cycle on the wrong phase would return the
+    # other half's bits.
     pcm = LinearCode.generate(n=8, k=4, col_weight=3, seed=1).pcm
-    llr = np.array([[-3, -3, 3, 3, -3, 3, 3, -3],
-                    [-3, 3, -3, 3, 3, -3, 3, -3],
-                    [3, -3, -3, 3, 3, 3, -3, -3]], dtype=np.float64)
+    llr = OSCILLATING
     for max_iter in range(1, 61):
+        bits, conv = bp_decode_batch(llr, pcm, max_iter)
+        ref_bits, ref_conv = padded_bp_decode_batch(llr, pcm, max_iter)
+        assert (bits == ref_bits).all() and (conv == ref_conv).all(), max_iter
+
+
+def test_bp_cycle_exit_proves_a_repeat_in_full():
+    # The fingerprint reads every (edges // 128)-th edge: here every one
+    # of them lies in a saturated block whose messages never change, and
+    # the oscillating frames run on the 24 edges after it, which the screen
+    # skips.  Every pass matches the fingerprint of every snapshot, and only
+    # the full comparison tells the period-2 cycle from a fixed point.
+    oscillator = LinearCode.generate(n=8, k=4, col_weight=3, seed=1).pcm
+    pcm = ParityCheckMatrix(105, [np.arange(97)] * 33 + [row + 97 for row in oscillator.row_adj])
+    assert pcm.edge_var.size == 3225 and (np.arange(3201, 3225) % (3225 // 128)).all()
+    llr = np.hstack([np.full((3, 97), LLR_CLAMP), OSCILLATING])
+    for max_iter in range(1, 41):
         bits, conv = bp_decode_batch(llr, pcm, max_iter)
         ref_bits, ref_conv = padded_bp_decode_batch(llr, pcm, max_iter)
         assert (bits == ref_bits).all() and (conv == ref_conv).all(), max_iter
@@ -358,7 +393,7 @@ def test_bp_cycle_exit_keeps_oscillating_decisions():
 
 def test_bp_cycle_exit_fires_on_pa(desk_code, monkeypatch):
     # Without the cycle exit every one of these frames runs all 50
-    # iterations; with it, most leave soon after their cycle is found.
+    # iterations; with it, most leave in the pass that finds their cycle.
     rows = []
     checks_satisfied = linear_code._checks_satisfied
 
@@ -369,7 +404,7 @@ def test_bp_cycle_exit_fires_on_pa(desk_code, monkeypatch):
     monkeypatch.setattr(linear_code, "_checks_satisfied", counting)
     llr = _receiver_llr(desk_code, "PA", -12.0, mu_pas=60.0)
     bp_decode_batch(llr, desk_code.pcm, 50)
-    assert sum(rows[1:]) <= 0.5 * 50 * llr.shape[0]
+    assert sum(rows[1:]) <= 0.3 * 50 * llr.shape[0]
 
 
 def test_syndrome_counts_ones_per_check(toy_code, desk_code):

@@ -449,6 +449,34 @@ def test_cli_bad_number_names_its_key(source, tmp_path, capsys):
     assert capsys.readouterr().err == "error: n='x' is not int\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--j", "a", "error: j_list item: 'a' is not int\n"),
+    ("--snr", "3,abc", "error: snr_grid item: 'abc' is not float\n"),
+], ids=["j_list", "snr_grid"])
+def test_cli_bad_list_item_names_its_key(flag, value, message, tmp_path, capsys):
+    argv = {"--j": "2", "--snr": "6", flag: value}
+    out = tmp_path / "bad.csv"
+    rc = main(["-q", "run", "--system", "SF", "--n", "96", "--k", "4", "--m", "8",
+               "--j", argv["--j"], "--snr", argv["--snr"], "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == message
+
+
+def test_read_csv_names_the_cell_it_cannot_convert(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    run_experiment(tiny_spec(output=str(out), j_list=(1, 8)))
+    header, first, second = out.read_text().splitlines()
+    cells = second.split(",")
+    cells[CSV_HEADER.index("j")] = "x"
+    out.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+    message = f"{out} data row 2, column j: 'x' is not int"
+    with pytest.raises(ValueError) as info:
+        read_csv(out)
+    assert str(info.value) == message
+    assert main(["-q", "plot", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_config_file(tmp_path):
     cfgfile = tmp_path / "exp.cfg"
     out = tmp_path / "from_cfg.csv"
