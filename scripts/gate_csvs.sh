@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Write the refactor-gate CSVs, and the plot pair of one of them, for the
-# ffma package under SRC and print their SHA-1s.  A refactor keeps every
-# file byte-identical (or explains the diff), so compare the output of two
-# checkouts:
+# ffma package under SRC and print their SHA-1s.  The gate is this script's
+# own sweeps plus acceptance criterion 7's desk sweeps, whose tables come
+# from this script's checkout (tests/desk_sweeps.py) whatever SRC is.  A
+# refactor keeps every file byte-identical (or explains the diff), so
+# compare the output of two checkouts:
 #
 #   scripts/gate_csvs.sh old/src out_old
 #   scripts/gate_csvs.sh src out_new
@@ -16,6 +18,7 @@ if [ $# -ne 2 ]; then
     exit 2
 fi
 src=$(cd "$1" && pwd)
+root=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$2"
 out=$(cd "$2" && pwd)
 
@@ -79,6 +82,10 @@ ffma --system DF "${desk[@]}" --j 30,60 --snr=-0.25,0.75 --min-frames 300 --max-
 ffma --system PA "${desk[@]}" --mu-pas 60 --j 30,60 --snr=-12,-10 --min-frames 300 \
     --max-frames 300 --max-iter 37 --out "$out/desk_pa_iter37.csv"
 
+# Acceptance criterion 7's 13 desk sweeps, through the 2-worker pool.
+PYTHONPATH="$src" python3 "$root/tests/desk_sweeps.py" "$out"
+
 (cd "$out" && sha1sum c9_df.csv desk_sf.csv desk_df.csv desk_pa.csv \
     desk_sf_waterfall.csv df96_ebn0.csv desk_aloha.csv desk_df_pool.csv desk_df_iter9.csv \
-    desk_pa_iter37.csv desk_aloha_pool.csv desk_sf_pool.csv desk_pa_pool.csv desk_aloha.dat desk_aloha.gp)
+    desk_pa_iter37.csv desk_aloha_pool.csv desk_sf_pool.csv desk_pa_pool.csv desk_aloha.dat desk_aloha.gp \
+    {SF,DF}_{1,30,60}.csv PA_{30,60}.csv ALOHA_{30,60}.csv DF_SF_{1,30,60}.csv)

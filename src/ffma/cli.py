@@ -17,7 +17,7 @@ import sys
 import typing
 
 from .analysis import polarization_gain_db, repetition_gain_db
-from .experiment import SYSTEMS, ExperimentSpec, emit_plot_data, run_experiment
+from .experiment import SYSTEMS, ExperimentSpec, _convert, emit_plot_data, run_experiment
 
 log = logging.getLogger(__name__)
 
@@ -50,12 +50,9 @@ def _coerce(key: str, value):
     if kind is bool:
         word = value.strip().lower()
         if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-            raise ValueError(f"{key}={value!r} is not a boolean (1/true/yes/on or 0/false/no/off)")
+            raise ValueError(f"{key}: {value!r} is not a boolean (1/true/yes/on or 0/false/no/off)")
         return word in ("1", "true", "yes", "on")
-    try:
-        return kind(value)
-    except ValueError:
-        raise ValueError(f"{key}={value!r} is not {kind.__name__}") from None
+    return _convert(kind, value, key)
 
 
 def build_spec(config: dict, overrides: dict) -> ExperimentSpec:

@@ -10,12 +10,14 @@ from (seed, stream, point index, first frame index) alone, batches have
 a fixed size, and batch results are folded in index order, so the output
 is byte-identical for any worker count.
 
-Pool: with ``workers`` above 1 the (point, batch) pairs of the whole
-sweep form one in-order queue with ``2 * workers`` tasks in flight
-(``_run_pooled``), so the next point's batches start while the current
-point's last ones still run.  A point's ``wall_s`` therefore runs from
-the end of the previous point (from the sweep's start for the first),
-and the points' walls add up to the sweep's elapsed time.
+Queue: the (point, batch) pairs of the whole sweep form one in-order
+queue (``_run_queue``) at any worker count.  With ``workers`` above 1 a
+process pool runs ``2 * workers`` tasks in flight, so the next point's
+batches start while the current point's last ones still run; one worker
+runs each task in this process, one at a time, so it computes only the
+batches it folds.  A point's ``wall_s`` runs from the end of the
+previous point (from the sweep's start for the first), and the points'
+walls add up to the sweep's elapsed time.
 
 Allocator: every pool worker calls ``keep_freed_memory``, so freed blocks
 under 32 MiB stay with the process for the next batch; importing the
@@ -26,12 +28,13 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import functools
 import logging
 import math
 import time
 import typing
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -106,8 +109,9 @@ class ExperimentSpec:
             raise ValueError("max_frames must be >= min_frames")
         if self.batch_frames < 1 or self.workers < 1:
             raise ValueError("batch_frames and workers must be >= 1")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        for key in ("max_iter", "seed"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         # The largest amplitude: sqrt(mu1) >= 1 in PA, 1 otherwise.
         a_max = 1.0
         if self.system == "PA":
@@ -269,16 +273,27 @@ def _simulate_batch(
     )
 
 
-def _worker_batch(j_users, n0, point_index, start_frame, count):
+def _batches(spec, code, j_users, n0, point_index, start_frame, count):
     """Simulate frames [start_frame, start_frame+count) of one grid point as
     ``batch_frames`` slices, one result per slice."""
-    spec, code = _WORKER["spec"], _WORKER["code"]
     stop = start_frame + count
     return [
         _simulate_batch(spec, code, j_users, n0, point_index, s,
                         min(spec.batch_frames, stop - s))
         for s in range(start_frame, stop, spec.batch_frames)
     ]
+
+
+def _worker_batch(*task):
+    """``_batches`` of one task, in a pool worker."""
+    return _batches(_WORKER["spec"], _WORKER["code"], *task)
+
+
+def _in_process(spec, code, *task) -> Future:
+    """Run one task in this process and hand back its finished future."""
+    done = Future()
+    done.set_result(_batches(spec, code, *task))
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +318,8 @@ class _PointAccumulator:
         self.must = math.ceil(spec.min_frames / spec.batch_frames)  # always folded
         self.end = math.ceil(spec.max_frames / spec.batch_frames)
         self.folded = 0
-        self.submitted = 0   # pool only: batches handed to a worker
-        self.discarded = 0   # pool only: batches computed past the stop
+        self.submitted = 0   # batches handed to the task runner
+        self.discarded = 0   # batches computed past the stop
 
     def fold(self, result) -> None:
         count, bit_err, frame_err, per_user = result
@@ -321,33 +336,21 @@ class _PointAccumulator:
         return self.folded >= self.end
 
 
-def _run_serial(spec, code, grid):
-    """Yield each grid point's accumulator, its batches run in this process."""
-    B = spec.batch_frames
-    for point_index, (j_users, _, n0) in enumerate(grid):
-        acc = _PointAccumulator(spec, j_users)
-        while not acc.done:
-            start = acc.folded * B
-            acc.fold(_simulate_batch(spec, code, j_users, n0, point_index, start,
-                                     min(B, spec.max_frames - start)))
-        yield acc
-
-
-def _run_pooled(spec, executor, grid):
+def _run_queue(spec, grid, run, window: int):
     """Yield each grid point's accumulator, in grid order, from one queue.
 
-    The (point, batch) pairs of the whole sweep form one in-order queue,
-    of which at most ``2 * workers`` tasks are in flight; results are
-    folded in submission order.  A point submits nothing past its decided
-    ``end``, and once it has nothing left to submit the next point's
-    batches take the free slots.  The batches below ``must`` are always
-    folded, so they go out as ``2 * workers`` near-equal groups, one task
-    each; later batches go one per task.  In-flight batches past a stop
-    decided later are cancelled, and those already running are counted in
-    ``discarded``.
+    ``run(j_users, n0, point_index, start_frame, count)`` starts one task
+    and returns its future.  The (point, batch) pairs of the whole sweep
+    form one in-order queue, of which at most ``window`` tasks are in
+    flight; results are folded in submission order.  A point submits
+    nothing past its decided ``end``, and once it has nothing left to
+    submit the next point's batches take the free slots.  The batches
+    below ``must`` are always folded, so they go out as ``window``
+    near-equal groups, one task each; later batches go one per task.
+    In-flight batches past a stop decided later are cancelled, and those
+    already running are counted in ``discarded``.
     """
     B = spec.batch_frames
-    window = 2 * spec.workers
     accs = [_PointAccumulator(spec, j_users) for j_users, _, _ in grid]
     inflight: deque = deque()   # (point index, first batch, batches, future)
     nxt = 0                     # the first point that may still submit
@@ -361,8 +364,7 @@ def _run_pooled(spec, executor, grid):
             count = 1
         j_users, _, n0 = grid[q]
         start = first * B
-        fut = executor.submit(_worker_batch, j_users, n0, q, start,
-                              min(count * B, spec.max_frames - start))
+        fut = run(j_users, n0, q, start, min(count * B, spec.max_frames - start))
         inflight.append((q, first, count, fut))
         acc.submitted += count
 
@@ -399,19 +401,21 @@ def run_experiment(spec: ExperimentSpec) -> list[BerPoint]:
 
     grid = [(j, snr_db, _noise_level(spec, j, snr_db))
             for j in spec.j_list for snr_db in spec.snr_grid]
+    # One worker computes each task when it is submitted, so it keeps one
+    # in flight and computes only the batches it folds.
     executor = None
+    run, window = functools.partial(_in_process, spec, code), 1
     if spec.workers > 1:
         executor = ProcessPoolExecutor(
             max_workers=spec.workers,
             initializer=_init_worker,
             initargs=(spec, code),
         )
+        run, window = functools.partial(executor.submit, _worker_batch), 2 * spec.workers
     points: list[BerPoint] = []
     try:
-        accs = (_run_serial(spec, code, grid) if executor is None
-                else _run_pooled(spec, executor, grid))
         t_end = time.perf_counter()
-        for (j, snr_db, n0), acc in zip(grid, accs):
+        for (j, snr_db, n0), acc in zip(grid, _run_queue(spec, grid, run, window)):
             t_start, t_end = t_end, time.perf_counter()
             wall = t_end - t_start
             total_bits = acc.frames * j * spec.k
@@ -460,11 +464,7 @@ def _cell(p: BerPoint, name: str, record_timing: bool):
     value = getattr(p, name)
     if name == "wall_s":
         return f"{value:.3f}" if record_timing else "0.000"
-    return _fmt(value) if _POINT_TYPES[name] is float else value
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
+    return format(float(value), ".10g") if _POINT_TYPES[name] is float else value
 
 
 def read_csv(path) -> list[BerPoint]:

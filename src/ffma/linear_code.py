@@ -364,6 +364,7 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     if llr0.ndim != 2 or llr0.shape[1] != pcm.n:
         raise ValueError(f"llr must be (batch, {pcm.n}), got {llr0.shape}")
     bits_out, conv = np.empty(llr0.shape, np.uint8), np.zeros(len(llr0), bool)
+    max_iter = max(int(max_iter), 0)
 
     # Message arrays carry one row past the last edge, the sentinel edge:
     # in T it is the factor 1.0 that unused check slots multiply by, in Lr
@@ -376,7 +377,7 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     var_rows = pcm.var_slots.T[np.roll(np.arange(pcm.var_slots.shape[1]), -1)]
     # Edges whose messages fingerprint a frame's state, spread over the graph.
     screen = np.arange(0, n_edges, max(1, n_edges // 128))
-    snap_its = {b << a for b in (2, 3) for a in range(2, max(max_iter, 1).bit_length())}
+    snap_its = {b << a for b in (2, 3) for a in range(2, max_iter.bit_length())}
     active = np.arange(llr0.shape[0])
     post = L0 = np.clip(llr0, -LLR_CLAMP, LLR_CLAMP).T.copy()
     Lq = np.take(L0, edge_var, axis=0)
@@ -391,7 +392,7 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     snaps, decided = [], []
     marks = np.empty((0, active.size), np.int64)
     cycled = np.zeros(active.size, bool)
-    for it in range(max(max_iter, 0) + 1):
+    for it in range(max_iter + 1):
         # Convergence needs a zero syndrome AND a decided value everywhere;
         # an LLR of exactly zero carries no decision (it defaults to 0).
         np.less(post, 0.0, out=hard[:-1].view(np.bool_))

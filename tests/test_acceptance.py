@@ -24,7 +24,7 @@ from ffma.experiment import ExperimentSpec, run_experiment
 from ffma.ffma_system import SystemConfig, cfsp_posterior, receive_batch, transmit_cfsp_batch
 from ffma.linear_code import LinearCode, bp_decode_batch, encode
 
-WORKERS = 2
+from desk_sweeps import DESK, WORKERS, desk_specs
 
 
 def report(tag: str, ok: bool, detail: str) -> bool:
@@ -235,49 +235,11 @@ def test_criterion_6_single_user_consistency():
 # Criterion 7: desk-scale trend reproduction (N=600, K=5, m=60)
 # ---------------------------------------------------------------------------
 
-DESK = dict(
-    n=600, k=5, m=60, snr_ref="esn0", seed=7, workers=WORKERS,
-    min_frames=200, min_bit_errors=120, batch_frames=100,
-)
-
-SWEEPS = {
-    ("SF", 1): dict(snr_grid=(-1.0, -0.5), max_frames=40_000),
-    ("SF", 30): dict(snr_grid=(0.25, 0.5, 0.75, 1.0, 1.25), max_frames=24_000),
-    ("SF", 60): dict(snr_grid=(0.5, 0.75, 1.0, 1.25), max_frames=12_000),
-    ("DF", 1): dict(snr_grid=(-6.0, -5.75, -5.5, -5.25), max_frames=40_000),
-    ("DF", 30): dict(snr_grid=(-0.5, -0.25, 0.0, 0.5), max_frames=24_000),
-    ("DF", 60): dict(snr_grid=(0.25, 0.5, 0.75, 1.0, 1.25), max_frames=12_000),
-    ("PA", 30): dict(snr_grid=(-10.0, -9.5, -9.0), max_frames=24_000),
-    ("PA", 60): dict(snr_grid=(-10.0, -9.5, -9.0), max_frames=12_000),
-    ("ALOHA", 30): dict(snr_grid=(1.5, 2.0, 2.5), max_frames=60_000),
-    ("ALOHA", 60): dict(snr_grid=(4.5, 5.0, 5.5), max_frames=60_000),
-}
-
-# DF re-measured on the SF grids for the pointwise comparison in 7b.
-SHADOW = {
-    ("DF@SF", 1): dict(system="DF", j_list=(1,), snr_grid=(-1.0, -0.5), max_frames=8_000),
-    ("DF@SF", 30): dict(system="DF", j_list=(30,), snr_grid=(0.25, 0.5, 0.75, 1.0, 1.25), max_frames=1_500),
-    ("DF@SF", 60): dict(system="DF", j_list=(60,), snr_grid=(0.5, 0.75, 1.0, 1.25), max_frames=1_500),
-}
-
-
 @pytest.fixture(scope="module")
 def desk_curves(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("desk")
     t0 = time.perf_counter()
-    curves = {}
-    for (system, j), kw in SWEEPS.items():
-        spec = ExperimentSpec(
-            system=system, j_list=(j,), mu_pas=60.0 if system == "PA" else 1.0,
-            output=str(out_dir / f"{system}_{j}.csv"), **DESK, **kw,
-        )
-        curves[(system, j)] = run_experiment(spec)
-    for key, kw in SHADOW.items():
-        spec = ExperimentSpec(
-            output=str(out_dir / f"{key[0].replace('@', '_')}_{key[1]}.csv"),
-            **DESK, **kw,
-        )
-        curves[key] = run_experiment(spec)
+    curves = {key: run_experiment(spec) for key, spec in desk_specs(out_dir)}
     curves["_elapsed"] = time.perf_counter() - t0
     return curves
 

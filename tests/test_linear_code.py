@@ -233,13 +233,15 @@ def test_bp_batch_matches_single(toy_code):
         assert (bits[0] == batch_bits[i]).all()
         assert conv[0] == batch_conv[i]
     # An empty batch gives empty results, and a negative budget returns
-    # what max_iter=0 does: the channel decisions.
+    # what max_iter=0 does: the channel decisions, also of the pure-noise
+    # frames whose decisions fail a check.
     bits, conv = bp_decode_batch(llr[:0], pcm)
     assert bits.shape == (0, 12) and bits.dtype == np.uint8 and conv.shape == (0,)
+    llr = np.vstack([llr, rng.normal(size=(20, 12))])
     bits, conv = bp_decode_batch(llr, pcm, max_iter=-1)
     ref_bits, ref_conv = bp_decode_batch(llr, pcm, max_iter=0)
     assert bits.tobytes() == ref_bits.tobytes() and conv.tobytes() == ref_conv.tobytes()
-    assert (bits == (llr < 0)).all()
+    assert (bits == (llr < 0)).all() and not conv[16:].all()
 
 
 def test_bp_fills_erased_bits(toy_code):

@@ -1,10 +1,10 @@
-"""The pooled sweep's one in-order batch queue.
+"""The sweep's one in-order batch queue, in a pool and in one process.
 
 A thread pool stands in for the process pool, so the test sees every
 task the scheduler submits and every result it folds, in order.  The
 grid's points stop all three ways: ALOHA J=8 at -4 dB passes 40 errors
 in its first grouped task, long before min_frames; J=8 at 1 dB passes
-them after min_frames (540 frames); J=8 at 4 dB runs to max_frames.  The
+them after min_frames (500 frames); J=8 at 4 dB runs to max_frames.  The
 J=24 points all pass them early.
 """
 
@@ -48,6 +48,13 @@ class RecordingExecutor(ThreadPoolExecutor):
         fut.result = folded
         self.events.append(("submit", *task))
         return fut
+
+
+def discarded_counts(caplog) -> list[int]:
+    """Each progress line's count of batches computed past the stop."""
+    return [int(m.group(1)) for m in
+            (re.search(r"(\d+) batches computed past the stop", r.getMessage())
+             for r in caplog.records) if m]
 
 
 @pytest.fixture(scope="module")
@@ -110,11 +117,31 @@ def test_queue_stops_at_the_decided_batch_and_hands_over_early(
 
     # A point whose stop was decided before anything past it was submitted
     # reports no batch computed past the stop.
-    discarded = [int(m.group(1)) for m in
-                 (re.search(r"(\d+) batches computed past the stop", r.getMessage())
-                  for r in caplog.records) if m]
+    discarded = discarded_counts(caplog)
     assert len(discarded) == len(rows)
     assert [d for d, kind in zip(discarded, stops) if kind != "after"] == [0] * 5
+
+
+def test_one_worker_computes_only_the_batches_it_folds(tmp_path, monkeypatch, caplog):
+    # One worker runs each task in this process when it is submitted and
+    # keeps one in flight, so no batch past a stop is computed, at an
+    # early stop, one after min_frames or one at max_frames alike.
+    calls = []
+    simulate = experiment._simulate_batch
+
+    def counted(*args):
+        calls.append(args[4:6])   # point index, first frame
+        return simulate(*args)
+
+    monkeypatch.setattr(experiment, "_simulate_batch", counted)
+    with caplog.at_level(logging.INFO, logger="ffma.experiment"):
+        points = run_experiment(ExperimentSpec(output=str(tmp_path / "w1.csv"), workers=1,
+                                               **SPEC))
+    assert [p.frames for p in points] == [200, 500, 600, 200, 200, 200]
+    assert len(calls) == sum(math.ceil(p.frames / B) for p in points)
+    assert sorted(calls) == [(q, b * B) for q, p in enumerate(points)
+                             for b in range(math.ceil(p.frames / B))]
+    assert discarded_counts(caplog) == [0] * len(points)
 
 
 def test_worker_counts_give_identical_csvs(serial_csv, tmp_path):

@@ -364,6 +364,17 @@ def test_negative_max_iter_rejected(tmp_path, capsys):
         SystemConfig(code, k=4, j_users=2, mode="DF", max_iter=-1)
 
 
+@pytest.mark.parametrize("system", ["DF", "ALOHA"])
+def test_cli_rejects_a_negative_seed(system, tmp_path, capsys):
+    # Rejected by the spec, naming the key and the value, not by the first
+    # random generator built from it (the code's, or a batch's in a worker).
+    out = tmp_path / "neg.csv"
+    rc = main(["-q", "run", "--system", system, "--n", "96", "--k", "4", "--m", "8",
+               "--j", "2", "--snr", "3", "--seed", "-1", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_cli_rejects_an_unusable_out_before_building_code(tmp_path, monkeypatch, capsys):
     # A missing directory or a directory itself: exit 2 naming the path,
     # before the code is built or a frame is simulated.
@@ -446,7 +457,7 @@ def test_cli_bad_number_names_its_key(source, tmp_path, capsys):
     out = tmp_path / "bad.csv"
     rc = main(argv + ["--out", str(out)])
     assert rc == 2 and not out.exists()
-    assert capsys.readouterr().err == "error: n='x' is not int\n"
+    assert capsys.readouterr().err == "error: n: 'x' is not int\n"
 
 
 @pytest.mark.parametrize("flag, value, message", [
