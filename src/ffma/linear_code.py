@@ -13,6 +13,15 @@ Provides:
   syndrome or at the iteration cap (earlier on an exact message cycle);
 * alist text interchange for sparse parity-check matrices.
 
+The PEG (progressive edge growth) search runs over check-to-check walk
+lists: check c's list joins, for each of its variables u in ascending
+order, u's other checks in the order they were placed.  A search level
+is the unreached entries of its checks' lists, in the order each first
+appears.  That is the order of a search that expands each variable once:
+a variable met earlier adds only checks already reached, and c is
+reached before its own list is read.  Placing edge (v, c) changes only
+the lists' ends, since v is the newest variable of each of its checks.
+
 The decoder runs on one flat edge list in check order (Richardson &
 Urbanke, *Modern Coding Theory*, ch. 2): edge e joins variable
 ``edge_var[e]`` to check ``edge_chk[e]``.  Its messages are stored
@@ -51,6 +60,7 @@ import numpy as np
 
 LLR_CLAMP = 40.0
 _MAX_ATTEMPTS = 20  # PEG graphs drawn, seeded (seed, attempt), before giving up
+_SPAN = 1 << 32  # PEG walk positions per search, more than any search has
 
 
 class ParityCheckMatrix:
@@ -68,6 +78,8 @@ class ParityCheckMatrix:
         self.n = int(n)
         self.row_adj = [np.unique(np.asarray(row, dtype=np.int64)) for row in row_adj]
         self.n_checks = len(self.row_adj)
+        if not self.n_checks:
+            raise ValueError("a parity-check matrix needs at least one check")
         row_deg = np.array([row.size for row in self.row_adj], dtype=np.int64)
         if (row_deg == 0).any():
             raise ValueError(f"check {np.argmin(row_deg)} has no connected columns")
@@ -155,7 +167,9 @@ class LinearCode:
         Edges are placed by progressive edge growth: each new edge goes to a
         check as far as possible (in graph distance) from the variable, with
         minimum-degree tie-breaks resolved by the seeded generator.  That
-        keeps short cycles out and the check degrees nearly uniform.  After
+        keeps short cycles out and the check degrees nearly uniform.  The
+        breadth-first search runs over check-to-check walk lists, which keep
+        its order over the Tanner graph (see the module docstring).  After
         graph construction the matrix is put in systematic form; a column
         permutation moves the k information positions to the front.
 
@@ -171,6 +185,8 @@ class LinearCode:
             raise ValueError(f"need col_weight >= 2, got {col_weight}")
         if col_weight > n_checks:
             raise ValueError(f"col_weight={col_weight} exceeds check count {n_checks}")
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
         for attempt in range(_MAX_ATTEMPTS):
             rng = np.random.default_rng((seed, attempt))
@@ -196,62 +212,55 @@ class LinearCode:
 # ---------------------------------------------------------------------------
 
 def _peg_graph(n: int, n_checks: int, col_weight: int, rng) -> list[list[int]]:
-    """Progressive-edge-growth placement; returns per-check column lists."""
+    """Progressive-edge-growth placement; returns per-check column lists.
+
+    Row c of ``hop`` is c's walk list (see the module docstring), padded
+    with n_checks, which every search counts as reached.  ``key[c]`` is c's
+    first position in the search counting down from ``top``; a key at or
+    below ``top - _SPAN`` is left from an earlier search.
+    """
     chk_deg = np.zeros(n_checks, dtype=np.int64)
     var_adj: list[list[int]] = [[] for _ in range(n)]
     chk_adj: list[list[int]] = [[] for _ in range(n_checks)]
+    hop = np.full((n_checks + 1, 0), n_checks)
+    hop_len = [0] * n_checks
+    key = np.zeros(n_checks + 1, dtype=np.int64)
+    key[n_checks] = np.iinfo(np.int64).max
+    top = 0
 
     for v in range(n):
         for t in range(col_weight):
             if t == 0:
-                cand = np.flatnonzero(chk_deg == chk_deg.min()).tolist()
+                cand = np.flatnonzero(chk_deg == chk_deg.min())
             else:
-                cand = _peg_candidates(v, var_adj, chk_adj, n_checks)
-                degs = chk_deg[cand].tolist()
-                low = min(degs)
-                cand = [c for c, d in zip(cand, degs) if d == low]
-            c = cand[rng.integers(len(cand))]
-            var_adj[v].append(c)
+                top += _SPAN
+                level, at, n_reached = np.array(var_adj[v]), top, t
+                key[level] = top
+                while level.size and n_reached < n_checks:
+                    walk = hop.take(level, axis=0).ravel()
+                    order = np.arange(at - 1, at - 1 - walk.size, -1)
+                    at -= walk.size
+                    np.maximum.at(key, walk, order)
+                    level = walk[key[walk] == order]  # first appearances
+                    n_reached += level.size
+                if not level.size:
+                    level = np.flatnonzero(key[:-1] <= top - _SPAN)
+                degs = chk_deg[level]
+                cand = level[degs == degs.min()]
+            c = int(cand[rng.integers(len(cand))])
+            adj = var_adj[v]
+            grow = max([hop_len[c] + t] + [hop_len[c2] + 1 for c2 in adj]) - hop.shape[1]
+            if grow > 0:
+                hop = np.pad(hop, ((0, 0), (0, grow)), constant_values=n_checks)
+            hop[c, hop_len[c]:hop_len[c] + t] = adj
+            hop_len[c] += t
+            for c2 in adj:
+                hop[c2, hop_len[c2]] = c
+                hop_len[c2] += 1
+            adj.append(c)
             chk_adj[c].append(v)
             chk_deg[c] += 1
     return chk_adj
-
-
-def _peg_candidates(v: int, var_adj, chk_adj, n_checks: int) -> list[int]:
-    """Checks at maximal distance from v in the current graph.
-
-    Breadth-first expansion from v; stops when the reached check set
-    saturates (candidates = the unreachable checks, in order) or covers
-    everything (candidates = the checks first reached in the final level,
-    in discovery order).
-    """
-    covered = bytearray(n_checks)
-    visited = bytearray(len(var_adj))
-    visited[v] = 1
-    frontier = [v]
-    n_covered = 0
-
-    while True:
-        new_checks = []
-        for u in frontier:
-            for c in var_adj[u]:
-                if not covered[c]:
-                    covered[c] = 1
-                    new_checks.append(c)
-        if not new_checks:
-            break
-        n_covered += len(new_checks)
-        if n_covered == n_checks:
-            return new_checks
-        frontier = []
-        for c in new_checks:
-            for u in chk_adj[c]:
-                if not visited[u]:
-                    visited[u] = 1
-                    frontier.append(u)
-        if not frontier:
-            break
-    return [c for c in range(n_checks) if not covered[c]]
 
 
 def _systematize(pcm: ParityCheckMatrix) -> LinearCode | None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bp_oracle import frame_major_bp_decode_batch, padded_bp_decode_batch
+from peg_oracle import peg_graph
 from ffma import linear_code
 from ffma.ffma_system import SystemConfig, _bit_priors, transmit_cfsp_batch
 from ffma.linear_code import (
@@ -122,6 +123,24 @@ def test_construction_is_pinned(n, k, seed):
 def test_construction_gives_up_on_rank_deficient_graphs():
     with pytest.raises(ValueError, match="full rank in 20 attempts"):
         LinearCode.generate(96, 48, col_weight=4, seed=2)
+
+
+@pytest.mark.parametrize("n, k, col_weight, seed, attempt", [
+    (600, 300, 3, 7, 0), (600, 300, 3, 101, 0), (96, 32, 3, 3, 0),
+    (64, 60, 3, 0, 0), (40, 36, 4, 0, 0),  # saturating: few checks
+    (200, 100, 4, 1, 0), (600, 300, 2, 7, 0),
+    (96, 64, 3, 11, 1),  # a retry draw
+])
+def test_peg_graph_matches_oracle(n, k, col_weight, seed, attempt):
+    args = (n, n - k, col_weight)
+    fast = linear_code._peg_graph(*args, np.random.default_rng((seed, attempt)))
+    assert fast == peg_graph(*args, np.random.default_rng((seed, attempt)))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_construct_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+        LinearCode.generate(24, 12, seed=seed)
 
 
 def test_girth_at_least_six_at_moderate_size():
@@ -488,6 +507,8 @@ def test_linear_code_from_alist(tmp_path):
 
 
 def test_parity_check_matrix_validation():
+    with pytest.raises(ValueError, match="at least one check"):
+        ParityCheckMatrix(4, [])
     with pytest.raises(ValueError):
         ParityCheckMatrix(4, [[0, 1], []])
     with pytest.raises(ValueError):
