@@ -42,7 +42,7 @@ import numpy as np
 
 from .analysis import polarization_gain_db, repetition_gain_db
 from .baseline_aloha import AlohaConfig, aloha_cfsp_batch, aloha_receive_batch
-from .ffma_system import SystemConfig, pa_amplitudes, receive_batch, transmit_cfsp_batch
+from .ffma_system import SystemConfig, mode_layout, receive_batch, transmit_cfsp_batch
 from .linear_code import LinearCode
 
 log = logging.getLogger(__name__)
@@ -91,18 +91,7 @@ class ExperimentSpec:
             raise ValueError("user counts must be >= 1")
         if self.n < 1 or self.k < 1:
             raise ValueError(f"n and k must be >= 1, got n={self.n}, k={self.k}")
-        if self.system != "ALOHA":
-            if self.m < 1:
-                raise ValueError("FFMA systems need the extension degree m")
-            if max(self.j_list) > self.m:
-                raise ValueError(f"user counts {self.j_list} exceed m={self.m}")
-            if self.m * self.k >= self.n:
-                raise ValueError(f"the code needs m*k < n: m*k={self.m * self.k}, n={self.n}")
-        else:
-            for j in self.j_list:
-                AlohaConfig(n=self.n, k=self.k, j_users=j)  # J | n and J*k | n
-        if self.system == "PA" and not 1 <= self.mu_pas <= self.m:
-            raise ValueError(f"mu_pas={self.mu_pas} violates 1 <= mu_pas <= m={self.m}")
+        layouts = {j: _layout(self, j) for j in self.j_list}
         if self.min_frames < 1 or self.min_bit_errors < 1:
             raise ValueError("min_frames and min_bit_errors must be >= 1")
         if self.max_frames < self.min_frames:
@@ -112,19 +101,15 @@ class ExperimentSpec:
         for key in ("max_iter", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
-        # The largest amplitude: sqrt(mu1) >= 1 in PA, 1 otherwise.
-        a_max = 1.0
-        if self.system == "PA":
-            a_max = pa_amplitudes(self.n, self.k, self.m, self.mu_pas)[0]
         for snr_db in self.snr_grid:
             for j in self.j_list:
                 try:
                     n0 = _noise_level(self, j, snr_db)
                     # The CSV's Eb/N0 and Es/N0, and for FFMA the detector's
-                    # largest log-likelihood term 8 a^2 (J+1)^2 / n0, are finite.
+                    # largest log-likelihood term 8 a_info^2 (J+1)^2 / n0, are finite.
                     terms = [n0, per_user_frame_energy(self, j) / self.k / n0, 1.0 / n0]
                     if self.system != "ALOHA":
-                        terms.append(8.0 * a_max ** 2 * (j + 1) ** 2 / n0)
+                        terms.append(8.0 * layouts[j].a_info ** 2 * (j + 1) ** 2 / n0)
                     ok = all(0.0 < x < math.inf for x in terms)
                 except (ZeroDivisionError, OverflowError):
                     ok = False
@@ -157,13 +142,17 @@ _COLUMNS = {f.name: f.metadata.get("column", f.name) for f in fields(BerPoint)}
 CSV_HEADER = list(_COLUMNS.values())
 
 
+def _layout(spec: ExperimentSpec, j_users: int):
+    """J users' layout (``AlohaConfig`` or ``mode_layout``); ValueError if none."""
+    if spec.system == "ALOHA":
+        return AlohaConfig(n=spec.n, k=spec.k, j_users=j_users)
+    return mode_layout(spec.system, spec.n, spec.k, spec.m, j_users, spec.mu_pas)
+
+
 def per_user_frame_energy(spec: ExperimentSpec, j_users: int) -> float:
     """Transmitted energy per user per frame, in unit-power symbols."""
-    if spec.system == "SF" or spec.system == "PA":
-        return spec.n
-    if spec.system == "DF":
-        return spec.n - (spec.m - 1) * spec.k
-    return spec.n / j_users
+    layout = _layout(spec, j_users)
+    return layout.slot_len if spec.system == "ALOHA" else layout.energy
 
 
 def _noise_level(spec: ExperimentSpec, j_users: int, snr_db: float) -> float:

@@ -16,7 +16,7 @@ frames at once:
   total-power constraint.
 
 The symbol power is 1.  The modes differ only in their layout, which
-``SystemConfig`` works out once:
+``mode_layout`` works out once for ``SystemConfig`` and the driver:
 
 * ``user_pos``: the (J, k) codeword positions of each user's bits, k*m + j
   in SF and j*k + k in DF/PA;
@@ -25,7 +25,8 @@ The symbol power is 1.  The modes differ only in their layout, which
 * ``shift``: J-1 in SF and 0 in DF/PA; the other users' zero elements
   move every sent message coordinate down by it;
 * ``a_info``, ``a_par``: the amplitudes of sent message and parity
-  coordinates, sqrt(mu1) and sqrt(mu2) in PA and 1 otherwise.
+  coordinates, sqrt(mu1) and sqrt(mu2) in PA and 1 otherwise;
+* ``energy``: each user's frame energy, n in SF/PA and n - (m-1)*k in DF.
 
 The receiver turns the channel output into LLRs log P(0)/P(1) of the sent
 coordinates of the finite-field sum-pattern codeword (``_bit_priors``),
@@ -37,6 +38,7 @@ reads each user's bits back at ``user_pos``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -47,11 +49,33 @@ from .linear_code import LinearCode, bp_decode_batch
 MODES = ("SF", "DF", "PA")
 
 
+ModeLayout = namedtuple("ModeLayout", "user_pos n_info shift a_info a_par energy")
+
+
+def mode_layout(mode: str, n: int, k: int, m: int, j_users: int, mu_pas: float = 1.0) -> ModeLayout:
+    """J users' layout in ``mode`` (SF, DF or PA) on an (n, m*k) code."""
+    if not 1 <= j_users <= m:
+        raise ValueError(f"j_users={j_users} out of range [1, m={m}]")
+    if m * k >= n:
+        raise ValueError(f"the code needs m*k < n: m*k={m * k}, n={n}")
+    if mode == "SF":
+        return ModeLayout(np.arange(m * k).reshape(k, m).T[:j_users], m * k,
+                          float(j_users - 1), 1.0, 1.0, n)
+    user_pos = np.arange(j_users * k).reshape(j_users, k)
+    if mode == "DF":
+        return ModeLayout(user_pos, j_users * k, 0.0, 1.0, 1.0, n - (m - 1) * k)
+    if not 1 <= mu_pas <= m:
+        raise ValueError(f"mu_pas={mu_pas} violates 1 <= mu_pas <= m={m}")
+    # n = k*mu1 + (n - m*k)*mu2 with mu1 = mu_pas*mu2: PA keeps the frame energy n.
+    mu2 = n / (k * mu_pas + n - m * k)
+    return ModeLayout(user_pos, j_users * k, 0.0, math.sqrt(mu_pas * mu2), math.sqrt(mu2), n)
+
+
 @dataclass
 class SystemConfig:
     """Users and a mode bound to a code, plus what follows from them (the
     init=False fields): n = code.n, m = code.k / k and the mode's layout
-    (see the module docstring)."""
+    (``mode_layout``)."""
 
     code: LinearCode
     k: int
@@ -75,38 +99,13 @@ class SystemConfig:
             raise ValueError(
                 f"k={self.k} must be >= 1 and divide the code message length {self.code.k}"
             )
-        self.n, self.m = self.code.n, self.code.k // self.k
-        if not 1 <= self.j_users <= self.m:
-            raise ValueError(f"j_users={self.j_users} out of range [1, m={self.m}]")
         if self.n0 <= 0:
             raise ValueError("n0 must be positive")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
-        j = np.arange(self.j_users)[:, None]
-        k = np.arange(self.k)[None, :]
-        if self.mode == "SF":
-            self.user_pos = k * self.m + j
-            self.n_info = self.m * self.k
-            self.shift = float(self.j_users - 1)
-        else:
-            self.user_pos = j * self.k + k
-            self.n_info = self.j_users * self.k
-            self.shift = 0.0
-        self.a_info = self.a_par = 1.0
-        if self.mode == "PA":
-            if not 1 <= self.mu_pas <= self.m:
-                raise ValueError(
-                    f"power scaling factor {self.mu_pas} violates 1 <= mu_pas <= m={self.m}")
-            self.a_info, self.a_par = pa_amplitudes(self.n, self.k, self.m, self.mu_pas)
-
-
-def pa_amplitudes(n: int, k: int, m: int, mu_pas: float) -> tuple[float, float]:
-    """PA's message and parity amplitudes (sqrt(mu1), sqrt(mu2)).
-
-    The total power n = k*mu1 + (n - m*k)*mu2 with mu1/mu2 = mu_pas.
-    """
-    mu2 = n / (k * mu_pas + n - m * k)
-    return math.sqrt(mu_pas * mu2), math.sqrt(mu2)
+        self.n, self.m = self.code.n, self.code.k // self.k
+        (self.user_pos, self.n_info, self.shift, self.a_info, self.a_par,
+         _energy) = mode_layout(self.mode, self.n, self.k, self.m, self.j_users, self.mu_pas)
 
 
 # ---------------------------------------------------------------------------

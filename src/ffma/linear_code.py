@@ -537,6 +537,8 @@ def load_alist(path) -> ParityCheckMatrix:
     try:
         data = [[int(tok) for tok in row] for row in rows]
         n, n_checks = data[0]
+        if n_checks < 1:    # its row degree line is empty, so the sections would shift
+            raise ValueError("a parity-check matrix needs at least one check")
         col_deg = data[2]
         if len(col_deg) != n:
             raise ValueError("column degree list length mismatch")

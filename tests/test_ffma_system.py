@@ -7,6 +7,7 @@ import pytest
 from scipy.special import expit
 from scipy.stats import binom
 
+from map_oracle import bitwise_map, codebook
 from mixture_oracle import bisection_posterior, full_mixture_posterior
 from per_user_tx import df_transmit, pa_transmit, sf_transmit, transmit, user_parity
 
@@ -587,18 +588,27 @@ def test_receive_rejects_wrong_length(code96):
 
 
 # ---------------------------------------------------------------------------
-# Analytic oracle: SF message section without decoding
+# Analytic oracle: message section without decoding
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("j_users, m, k", [(1, 60, 5), (30, 60, 5), (60, 60, 5), (300, 300, 1)])
-def test_sf_message_decisions_match_bpsk_q_function(code600, j_users, m, k):
-    # Each SF message coordinate carries one user's bit on top of J-1 known
-    # zero elements, so with BP off (max_iter=0) the detector's hard
-    # decisions are uncoded BPSK: BER = Q(sqrt(2 Es/N0)) for every J.
-    es_n0 = 10.0 ** (2.0 / 10.0)
+@pytest.mark.parametrize("mode, j_users, m, k, mu_pas, esn0_db", [
+    ("SF", 1, 60, 5, 1.0, 2.0), ("SF", 30, 60, 5, 1.0, 2.0), ("SF", 60, 60, 5, 1.0, 2.0),
+    ("SF", 300, 300, 1, 1.0, 2.0), ("DF", 30, 60, 5, 1.0, 2.0), ("DF", 300, 300, 1, 1.0, 2.0),
+    ("PA", 60, 60, 5, 60.0, -12.0), ("PA", 30, 60, 5, 4.0, -6.0),
+])
+def test_message_decisions_match_bpsk_q_function(code600, mode, j_users, m, k, mu_pas, esn0_db):
+    # Each sent message coordinate carries one user's bit on top of known
+    # zero elements (J-1 of them in SF, none in DF/PA), so with BP off
+    # (max_iter=0) the detector's hard decisions are uncoded BPSK of energy
+    # mu1 * Es: BER = Q(sqrt(2 mu1 Es/N0)) for every J.  mu1 is 1 in SF and
+    # DF and mu_pas * n / (k mu_pas + n - m k) in PA, worked out here and
+    # not read from the config.
+    es_n0 = 10.0 ** (esn0_db / 10.0)
     n0 = 1.0 / es_n0
-    cfg = SystemConfig(code600, k=k, j_users=j_users, mode="SF", n0=n0, max_iter=0)
+    cfg = SystemConfig(code600, k=k, j_users=j_users, mode=mode, mu_pas=mu_pas, n0=n0,
+                       max_iter=0)
     assert cfg.m == m
+    mu1 = mu_pas * 600 / (k * mu_pas + 600 - m * k) if mode == "PA" else 1.0
     rng = np.random.default_rng(900 + j_users)
     frames = 60_000 // (j_users * k)
     errors = 0
@@ -609,6 +619,33 @@ def test_sf_message_decisions_match_bpsk_q_function(code600, j_users, m, k):
         rx, _conv = receive_batch(y, cfg)
         errors += int((rx != bits).sum())
     n_bits = frames * j_users * k
-    expected = 0.5 * math.erfc(math.sqrt(es_n0))  # Q(sqrt(2 Es/N0))
+    expected = 0.5 * math.erfc(math.sqrt(mu1 * es_n0))  # Q(sqrt(2 mu1 Es/N0))
     lo, hi = binom.ppf(0.5e-6, n_bits, expected), binom.isf(0.5e-6, n_bits, expected)
     assert lo <= errors <= hi, (errors / n_bits, expected)
+
+
+# ---------------------------------------------------------------------------
+# Bitwise-MAP oracle on a tiny code
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode, mu_pas, esn0_db", [("SF", 1.0, 0.0), ("DF", 1.0, 0.0),
+                                                   ("PA", 6.0, -6.0)])
+def test_receiver_does_not_beat_bitwise_map(mode, mu_pas, esn0_db):
+    # J=5 users of k=2 bits on a (24, 12) code: all 2^10 patterns are
+    # enumerated and every bit of 2000 shared frames is decided by its exact
+    # posterior.  Bitwise MAP minimises each bit's error probability, so of
+    # the bits where exactly one of the two is right, the receiver is the
+    # right one with probability at most 1/2.  Beyond the binomial 1 - 1e-6
+    # bound it sees more than the channel output.
+    code = LinearCode.generate(24, 12, seed=1)
+    n0 = 10.0 ** (-esn0_db / 10.0)
+    cfg = SystemConfig(code, k=2, j_users=5, mode=mode, mu_pas=mu_pas, n0=n0)
+    patterns, sums = codebook(cfg)
+    rng = np.random.default_rng(61)
+    sent = rng.integers(0, len(patterns), size=2000)
+    bits, clean = patterns[sent], sums[sent]
+    y = clean + rng.normal(0.0, math.sqrt(n0 / 2.0), size=clean.shape)
+    rx_ok = receive_batch(y, cfg)[0] == bits
+    map_ok = bitwise_map(y, patterns, sums, n0) == bits
+    a, b = int((rx_ok & ~map_ok).sum()), int((map_ok & ~rx_ok).sum())
+    assert a <= binom.isf(1e-6, a + b, 0.5), (a, b)

@@ -491,6 +491,16 @@ def test_alist_malformed_rejected(tmp_path):
             load_alist(path)
 
 
+def test_alist_without_checks_rejected(tmp_path):
+    # A header with 0 checks has an empty row-degree line; the loader says
+    # so instead of reporting the sections after it as shifted.
+    path = tmp_path / "empty.alist"
+    for text in ["4 0\n0 0\n0 0 0 0\n", "4 0\n0 0\n0 0 0 0\n\n0\n0\n0\n0\n"]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match="malformed alist .*needs at least one check"):
+            load_alist(path)
+
+
 def test_linear_code_from_alist(tmp_path):
     pcm = LinearCode.generate(24, 12, col_weight=3, seed=1).pcm
     path = tmp_path / "c.alist"
