@@ -82,10 +82,21 @@ ffma --system DF "${desk[@]}" --j 30,60 --snr=-0.25,0.75 --min-frames 300 --max-
 ffma --system PA "${desk[@]}" --mu-pas 60 --j 30,60 --snr=-12,-10 --min-frames 300 \
     --max-frames 300 --max-iter 37 --out "$out/desk_pa_iter37.csv"
 
+# Every FFMA mode at full scale, (6000, 3000) with k=10, m=300 and J=300,
+# for 50 frames: transmit's parity counts run in 24 user chunks, and PA's
+# 301-level detector window in 22 sample chunks.  Each builds the code
+# (about 3 s).
+full=(--n 6000 --k 10 --m 300 --j 300 --snr-ref esn0 --seed 7 --min-frames 50
+      --max-frames 50 --batch-frames 50)
+ffma --system SF "${full[@]}" --snr 0 --out "$out/full_sf.csv"
+ffma --system DF "${full[@]}" --snr 0 --out "$out/full_df.csv"
+ffma --system PA "${full[@]}" --mu-pas 300 --snr=-18 --out "$out/full_pa.csv"
+
 # Acceptance criterion 7's 13 desk sweeps, through the 2-worker pool.
 PYTHONPATH="$src" python3 "$root/tests/desk_sweeps.py" "$out"
 
 (cd "$out" && sha1sum c9_df.csv desk_sf.csv desk_df.csv desk_pa.csv \
     desk_sf_waterfall.csv df96_ebn0.csv desk_aloha.csv desk_df_pool.csv desk_df_iter9.csv \
     desk_pa_iter37.csv desk_aloha_pool.csv desk_sf_pool.csv desk_pa_pool.csv desk_aloha.dat desk_aloha.gp \
+    full_sf.csv full_df.csv full_pa.csv \
     {SF,DF}_{1,30,60}.csv PA_{30,60}.csv ALOHA_{30,60}.csv DF_SF_{1,30,60}.csv)

@@ -22,7 +22,7 @@ from .experiment import SYSTEMS, ExperimentSpec, _convert, emit_plot_data, run_e
 log = logging.getLogger(__name__)
 
 # Each spec field's type, resolved from its annotation (a string under
-# postponed evaluation); the spec itself converts a tuple's items.
+# postponed evaluation); the spec splits a list string and converts its items.
 _FIELD_TYPES = typing.get_type_hints(ExperimentSpec)
 
 
@@ -42,11 +42,9 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(key: str, value):
-    if not isinstance(value, str):
-        return value
     kind = _FIELD_TYPES.get(key, str)
-    if kind is tuple:
-        return tuple(value.replace(",", " ").split())
+    if not isinstance(value, str) or kind is tuple:   # the spec splits a list string
+        return value
     if kind is bool:
         word = value.strip().lower()
         if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):

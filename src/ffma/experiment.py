@@ -10,6 +10,9 @@ from (seed, stream, point index, first frame index) alone, batches have
 a fixed size, and batch results are folded in index order, so the output
 is byte-identical for any worker count.
 
+Points: the spec works out each point's (J, SNR, n0) once, each point's
+config is built once per process, and a task names its point by index.
+
 Queue: the (point, batch) pairs of the whole sweep form one in-order
 queue (``_run_queue``) at any worker count.  With ``workers`` above 1 a
 process pool runs ``2 * workers`` tasks in flight, so the next point's
@@ -42,7 +45,8 @@ import numpy as np
 
 from .analysis import polarization_gain_db, repetition_gain_db
 from .baseline_aloha import AlohaConfig, aloha_cfsp_batch, aloha_receive_batch
-from .ffma_system import SystemConfig, mode_layout, receive_batch, transmit_cfsp_batch
+from .ffma_system import (SystemConfig, detector_is_finite, mode_layout, receive_batch,
+                          transmit_cfsp_batch)
 from .linear_code import LinearCode
 
 log = logging.getLogger(__name__)
@@ -52,7 +56,8 @@ SYSTEMS = ("SF", "DF", "PA", "ALOHA")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one BER sweep."""
+    """Everything needed to reproduce one BER sweep; ``grid``, worked out from
+    the fields and not one of them, holds each point's (J, snr_db, n0), J-major."""
 
     system: str
     n: int
@@ -75,10 +80,11 @@ class ExperimentSpec:
     record_timing: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "j_list",
-                           tuple(_convert(int, j, "j_list item") for j in self.j_list))
-        object.__setattr__(self, "snr_grid",
-                           tuple(_convert(float, s, "snr_grid item") for s in self.snr_grid))
+        for key, kind in (("j_list", int), ("snr_grid", float)):
+            items = getattr(self, key)
+            if isinstance(items, str):   # comma- or space-separated
+                items = items.replace(",", " ").split()
+            object.__setattr__(self, key, tuple(_convert(kind, x, f"{key} item") for x in items))
         if self.system not in SYSTEMS:
             raise ValueError(f"system must be one of {SYSTEMS}, got {self.system!r}")
         if not self.snr_grid:
@@ -101,22 +107,24 @@ class ExperimentSpec:
         for key in ("max_iter", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
-        for snr_db in self.snr_grid:
-            for j in self.j_list:
+        grid = []
+        for j in self.j_list:
+            eb = per_user_frame_energy(self, j) / self.k
+            for snr_db in self.snr_grid:
                 try:
-                    n0 = _noise_level(self, j, snr_db)
-                    # The CSV's Eb/N0 and Es/N0, and for FFMA the detector's
-                    # largest log-likelihood term 8 a_info^2 (J+1)^2 / n0, are finite.
-                    terms = [n0, per_user_frame_energy(self, j) / self.k / n0, 1.0 / n0]
-                    if self.system != "ALOHA":
-                        terms.append(8.0 * layouts[j].a_info ** 2 * (j + 1) ** 2 / n0)
-                    ok = all(0.0 < x < math.inf for x in terms)
+                    lin = 10.0 ** (snr_db / 10.0)
+                    n0 = 1.0 / lin if self.snr_ref == "esn0" else eb / lin
+                    # The CSV's Eb/N0 and Es/N0, and the FFMA detector's arithmetic.
+                    ok = all(0.0 < x < math.inf for x in (n0, eb / n0, 1.0 / n0)) and (
+                        self.system == "ALOHA" or detector_is_finite(n0, layouts[j].a_info, j))
                 except (ZeroDivisionError, OverflowError):
                     ok = False
                 if not ok:
                     raise ValueError(
                         f"snr={snr_db:g} dB gives a noise level at which Eb/N0, Es/N0 "
                         f"or the detector's arithmetic is not finite (J={j})")
+                grid.append((j, snr_db, n0))
+        object.__setattr__(self, "grid", tuple(grid))
 
 
 @dataclass
@@ -153,14 +161,6 @@ def per_user_frame_energy(spec: ExperimentSpec, j_users: int) -> float:
     """Transmitted energy per user per frame, in unit-power symbols."""
     layout = _layout(spec, j_users)
     return layout.slot_len if spec.system == "ALOHA" else layout.energy
-
-
-def _noise_level(spec: ExperimentSpec, j_users: int, snr_db: float) -> float:
-    lin = 10.0 ** (snr_db / 10.0)
-    if spec.snr_ref == "esn0":
-        return 1.0 / lin
-    eb = per_user_frame_energy(spec, j_users) / spec.k
-    return eb / lin
 
 
 def _load_code(spec: ExperimentSpec) -> LinearCode | None:
@@ -210,49 +210,41 @@ def keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
 
 
+def _point_configs(spec: ExperimentSpec, code: LinearCode | None) -> list:
+    """Each grid point's ``AlohaConfig`` or ``SystemConfig``, in grid order."""
+    if spec.system == "ALOHA":
+        return [AlohaConfig(n=spec.n, k=spec.k, j_users=j) for j, _, _ in spec.grid]
+    return [SystemConfig(code=code, k=spec.k, j_users=j, mode=spec.system,
+                         mu_pas=spec.mu_pas, n0=n0, max_iter=spec.max_iter)
+            for j, _, n0 in spec.grid]
+
+
 _WORKER: dict = {}
 
 
-def _init_worker(spec: ExperimentSpec, code: LinearCode | None) -> None:
+def _init_worker(spec: ExperimentSpec, configs: list) -> None:
     keep_freed_memory()
     _WORKER["spec"] = spec
-    _WORKER["code"] = code
+    _WORKER["configs"] = configs
 
 
-def _simulate_batch(
-    spec: ExperimentSpec,
-    code: LinearCode | None,
-    j_users: int,
-    n0: float,
-    point_index: int,
-    start_frame: int,
-    count: int,
-):
+def _simulate_batch(spec: ExperimentSpec, configs: list, point_index: int,
+                    start_frame: int, count: int):
     """Simulate frames [start_frame, start_frame+count) of one grid point."""
+    j_users, _, n0 = spec.grid[point_index]
+    cfg = configs[point_index]
     bit_rng = np.random.default_rng((spec.seed, 1, point_index, start_frame))
     noise_rng = np.random.default_rng((spec.seed, 2, point_index, start_frame))
     bits = bit_rng.integers(0, 2, size=(count, j_users, spec.k), dtype=np.uint8)
     sigma = math.sqrt(n0 / 2.0)
-
-    if spec.system == "ALOHA":
-        cfg = AlohaConfig(n=spec.n, k=spec.k, j_users=j_users)
-        r = aloha_cfsp_batch(bits, cfg)
-    else:
-        cfg = SystemConfig(
-            code=code, k=spec.k, j_users=j_users, mode=spec.system,
-            mu_pas=spec.mu_pas, n0=n0, max_iter=spec.max_iter,
-        )
-        r = transmit_cfsp_batch(bits, cfg)
+    aloha = spec.system == "ALOHA"
+    r = aloha_cfsp_batch(bits, cfg) if aloha else transmit_cfsp_batch(bits, cfg)
     # Generator.normal(0.0, sigma) is 0.0 + sigma*z on this stream, so
     # scaling standard normals in place gives the same bits.
     y = noise_rng.standard_normal(r.shape)
     y *= sigma
     y += r
-    if spec.system == "ALOHA":
-        rx = aloha_receive_batch(y, cfg)
-    else:
-        rx, _conv = receive_batch(y, cfg)
-
+    rx = aloha_receive_batch(y, cfg) if aloha else receive_batch(y, cfg)[0]
     err = rx != bits
     return (
         count,
@@ -262,26 +254,23 @@ def _simulate_batch(
     )
 
 
-def _batches(spec, code, j_users, n0, point_index, start_frame, count):
+def _batches(spec, configs, point_index, start_frame, count):
     """Simulate frames [start_frame, start_frame+count) of one grid point as
     ``batch_frames`` slices, one result per slice."""
     stop = start_frame + count
-    return [
-        _simulate_batch(spec, code, j_users, n0, point_index, s,
-                        min(spec.batch_frames, stop - s))
-        for s in range(start_frame, stop, spec.batch_frames)
-    ]
+    return [_simulate_batch(spec, configs, point_index, s, min(spec.batch_frames, stop - s))
+            for s in range(start_frame, stop, spec.batch_frames)]
 
 
 def _worker_batch(*task):
     """``_batches`` of one task, in a pool worker."""
-    return _batches(_WORKER["spec"], _WORKER["code"], *task)
+    return _batches(_WORKER["spec"], _WORKER["configs"], *task)
 
 
-def _in_process(spec, code, *task) -> Future:
+def _in_process(spec, configs, *task) -> Future:
     """Run one task in this process and hand back its finished future."""
     done = Future()
-    done.set_result(_batches(spec, code, *task))
+    done.set_result(_batches(spec, configs, *task))
     return done
 
 
@@ -325,10 +314,10 @@ class _PointAccumulator:
         return self.folded >= self.end
 
 
-def _run_queue(spec, grid, run, window: int):
+def _run_queue(spec, run, window: int):
     """Yield each grid point's accumulator, in grid order, from one queue.
 
-    ``run(j_users, n0, point_index, start_frame, count)`` starts one task
+    ``run(point_index, start_frame, count)`` starts one task
     and returns its future.  The (point, batch) pairs of the whole sweep
     form one in-order queue, of which at most ``window`` tasks are in
     flight; results are folded in submission order.  A point submits
@@ -340,7 +329,7 @@ def _run_queue(spec, grid, run, window: int):
     already running are counted in ``discarded``.
     """
     B = spec.batch_frames
-    accs = [_PointAccumulator(spec, j_users) for j_users, _, _ in grid]
+    accs = [_PointAccumulator(spec, j_users) for j_users, _, _ in spec.grid]
     inflight: deque = deque()   # (point index, first batch, batches, future)
     nxt = 0                     # the first point that may still submit
 
@@ -351,9 +340,8 @@ def _run_queue(spec, grid, run, window: int):
             count = size + 1 if first < extra * (size + 1) else size
         else:
             count = 1
-        j_users, _, n0 = grid[q]
         start = first * B
-        fut = run(j_users, n0, q, start, min(count * B, spec.max_frames - start))
+        fut = run(q, start, min(count * B, spec.max_frames - start))
         inflight.append((q, first, count, fut))
         acc.submitted += count
 
@@ -388,23 +376,23 @@ def run_experiment(spec: ExperimentSpec) -> list[BerPoint]:
         for j in spec.j_list:
             log.info("J=%d: repetition gain %.2f dB", j, repetition_gain_db(spec.n, j, spec.k))
 
-    grid = [(j, snr_db, _noise_level(spec, j, snr_db))
-            for j in spec.j_list for snr_db in spec.snr_grid]
+    # The configs all hold one code object, so a pool's initargs pickle it once.
+    configs = _point_configs(spec, code)
     # One worker computes each task when it is submitted, so it keeps one
     # in flight and computes only the batches it folds.
     executor = None
-    run, window = functools.partial(_in_process, spec, code), 1
+    run, window = functools.partial(_in_process, spec, configs), 1
     if spec.workers > 1:
         executor = ProcessPoolExecutor(
             max_workers=spec.workers,
             initializer=_init_worker,
-            initargs=(spec, code),
+            initargs=(spec, configs),
         )
         run, window = functools.partial(executor.submit, _worker_batch), 2 * spec.workers
     points: list[BerPoint] = []
     try:
         t_end = time.perf_counter()
-        for (j, snr_db, n0), acc in zip(grid, _run_queue(spec, grid, run, window)):
+        for (j, snr_db, n0), acc in zip(spec.grid, _run_queue(spec, run, window)):
             t_start, t_end = t_end, time.perf_counter()
             wall = t_end - t_start
             total_bits = acc.frames * j * spec.k

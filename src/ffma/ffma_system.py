@@ -71,6 +71,13 @@ def mode_layout(mode: str, n: int, k: int, m: int, j_users: int, mu_pas: float =
     return ModeLayout(user_pos, j_users * k, 0.0, math.sqrt(mu_pas * mu2), math.sqrt(mu2), n)
 
 
+def detector_is_finite(n0: float, a_info: float, j_users: int) -> bool:
+    """Whether the detector's arithmetic is finite at noise level n0: n0 and
+    its largest log-likelihood term 8 a_info^2 (J+1)^2 / n0 lie in (0, inf)."""
+    n0 = float(n0)
+    return 0.0 < n0 < math.inf and 0.0 < 8.0 * a_info ** 2 * (j_users + 1) ** 2 / n0 < math.inf
+
+
 @dataclass
 class SystemConfig:
     """Users and a mode bound to a code, plus what follows from them (the
@@ -99,13 +106,14 @@ class SystemConfig:
             raise ValueError(
                 f"k={self.k} must be >= 1 and divide the code message length {self.code.k}"
             )
-        if self.n0 <= 0:
-            raise ValueError("n0 must be positive")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         self.n, self.m = self.code.n, self.code.k // self.k
         (self.user_pos, self.n_info, self.shift, self.a_info, self.a_par,
          _energy) = mode_layout(self.mode, self.n, self.k, self.m, self.j_users, self.mu_pas)
+        if not detector_is_finite(self.n0, self.a_info, self.j_users):
+            raise ValueError(f"n0={self.n0} must be positive and leave the detector's "
+                             "arithmetic finite")
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +222,10 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
 
     Accepts scalar or array y; returns a float or an array of y's shape.
     """
-    if amplitude <= 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
-    if n0 <= 0:
-        raise ValueError(f"n0 must be positive, got {n0}")
+    if not 0 < amplitude < math.inf:
+        raise ValueError(f"amplitude must be positive and finite, got {amplitude}")
+    if not 0 < n0 < math.inf:
+        raise ValueError(f"n0 must be positive and finite, got {n0}")
     if j_users < 1:
         raise ValueError(f"j_users must be >= 1, got {j_users}")
     J, a = int(j_users), float(amplitude)

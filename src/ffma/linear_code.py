@@ -337,9 +337,9 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     """Vectorized sum-product decoding of a (batch, n) block of frames.
 
     ``llr`` holds each coordinate's channel LLR ``log(P(0)/P(1))``,
-    clamped to +-40.  Returns the (batch, n) hard decisions and a (batch,)
-    flag telling whether each frame's syndrome was zero (its decisions are
-    returned regardless).
+    clamped to +-40 (+-inf too; a NaN is a ValueError).  Returns the
+    (batch, n) hard decisions and a (batch,) flag telling whether each
+    frame's syndrome was zero (its decisions are returned regardless).
 
     A frame leaves, squeezed out of the working set, through one test at
     the top of each pass: pass 0 tests the channel decisions, pass i those
@@ -372,6 +372,8 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
     llr0 = np.asarray(llr, dtype=np.float64)
     if llr0.ndim != 2 or llr0.shape[1] != pcm.n:
         raise ValueError(f"llr must be (batch, {pcm.n}), got {llr0.shape}")
+    if np.isnan(llr0).any():
+        raise ValueError(f"llr holds NaN, first in frame {np.isnan(llr0).any(axis=1).argmax()}")
     bits_out, conv = np.empty(llr0.shape, np.uint8), np.zeros(len(llr0), bool)
     max_iter = max(int(max_iter), 0)
 

@@ -236,6 +236,22 @@ def test_posterior_validation():
         cfsp_posterior(0.0, 1, 0.0, 1.0)
     with pytest.raises(ValueError):
         cfsp_posterior(0.0, 1, 1.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="amplitude must be positive and finite"):
+            cfsp_posterior(0.0, 3, bad, 1.0)
+        with pytest.raises(ValueError, match="n0 must be positive and finite"):
+            cfsp_posterior(0.0, 3, 1.0, bad)
+
+
+@pytest.mark.parametrize("n0", [math.nan, math.inf, 1e-320, 0.0, -1.0])
+@pytest.mark.parametrize("mode", ["SF", "DF", "PA"])
+def test_config_rejects_a_noise_level_the_detector_cannot_use(code96, mode, n0):
+    # NaN failed in the receiver's integer window, inf divided by zero, and
+    # the subnormal 1e-320 overflowed 8 a^2 (J+1)^2 / n0 into NaN LLRs.
+    with pytest.raises(ValueError, match="must be positive and leave the detector"):
+        SystemConfig(code=code96, k=4, j_users=2, mode=mode, mu_pas=2.0, n0=n0)
+    assert ffma_system.detector_is_finite(1e-300, 1.0, 2)
+    assert not ffma_system.detector_is_finite(n0, 1.0, 2)
 
 
 # ---------------------------------------------------------------------------

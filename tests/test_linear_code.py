@@ -218,6 +218,20 @@ def test_bp_uninformative_priors_do_not_converge(toy_code):
     assert not dec.any()  # zero LLRs resolve to bit 0
 
 
+def test_bp_rejects_nan_llrs_and_names_the_frame(toy_code):
+    # A NaN compares false to 0 and is truthy, so it used to decide 0 and
+    # count as converged; +-inf is still clamped to +-40.
+    pcm = toy_code.pcm
+    with pytest.raises(ValueError, match="NaN, first in frame 0"):
+        bp_decode_batch(np.full((2, 12), np.nan), pcm, 5)
+    llr = np.full((3, 12), np.inf)
+    llr[2, 7] = np.nan
+    with pytest.raises(ValueError, match="NaN, first in frame 2"):
+        bp_decode_batch(llr, pcm, 5)
+    dec, conv = bp_decode_batch(llr[:2], pcm, 5)
+    assert conv.all() and not dec.any()
+
+
 def test_bp_corrects_single_flip_matches_nearest_codeword(toy_code):
     pcm = toy_code.pcm
     msgs, cws = all_codewords(toy_code)

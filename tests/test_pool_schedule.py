@@ -36,7 +36,7 @@ class RecordingExecutor(ThreadPoolExecutor):
 
     def submit(self, fn, *args):
         fut = super().submit(fn, *args)
-        _, _, point, start, count = args
+        point, start, count = args
         task = (point, start // B, math.ceil(count / B))
         result = fut.result
 
@@ -130,7 +130,7 @@ def test_one_worker_computes_only_the_batches_it_folds(tmp_path, monkeypatch, ca
     simulate = experiment._simulate_batch
 
     def counted(*args):
-        calls.append(args[4:6])   # point index, first frame
+        calls.append(args[2:4])   # point index, first frame
         return simulate(*args)
 
     monkeypatch.setattr(experiment, "_simulate_batch", counted)
@@ -167,10 +167,29 @@ def test_fixed_frame_sweep_ends_its_last_group_with_a_short_batch(tmp_path):
 
 def test_worker_batch_returns_one_result_per_batch_slice(monkeypatch):
     spec = ExperimentSpec(**dict(SPEC, max_frames=250))
-    monkeypatch.setattr(experiment, "_WORKER", {"spec": spec, "code": None})
-    n0 = experiment._noise_level(spec, 8, 1.0)
-    got = experiment._worker_batch(8, n0, 1, 200, 50)
-    want = [experiment._simulate_batch(spec, None, 8, n0, 1, s, c)
+    configs = experiment._point_configs(spec, None)
+    monkeypatch.setattr(experiment, "_WORKER", {"spec": spec, "configs": configs})
+    got = experiment._worker_batch(1, 200, 50)
+    want = [experiment._simulate_batch(spec, configs, 1, s, c)
             for s, c in ((200, 20), (220, 20), (240, 10))]
     assert [r[:3] for r in got] == [r[:3] for r in want]
     assert [r[3].tolist() for r in got] == [r[3].tolist() for r in want]
+
+
+def test_one_worker_builds_each_points_config_once(tmp_path, monkeypatch):
+    # SF at two J and two SNRs, 3 batches a point: one SystemConfig per
+    # point, not one per batch.
+    built = []
+    config = experiment.SystemConfig
+
+    def counted(**kwargs):
+        built.append((kwargs["j_users"], kwargs["n0"]))
+        return config(**kwargs)
+
+    monkeypatch.setattr(experiment, "SystemConfig", counted)
+    spec = ExperimentSpec(system="SF", n=96, k=4, m=8, j_list=(2, 8), snr_grid=(1.0, 4.0),
+                          snr_ref="esn0", seed=3, min_frames=60, max_frames=60,
+                          batch_frames=20, output=str(tmp_path / "sf.csv"))
+    points = run_experiment(spec)
+    assert [p.frames for p in points] == [60] * 4
+    assert built == [(j, n0) for j, _, n0 in spec.grid]

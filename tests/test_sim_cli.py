@@ -473,6 +473,18 @@ def test_cli_bad_list_item_names_its_key(flag, value, message, tmp_path, capsys)
     assert capsys.readouterr().err == message
 
 
+def test_spec_splits_a_list_string_as_the_cli_does():
+    # A string is one list, split at commas or spaces, not its characters.
+    spec = tiny_spec(system="DF", m=16, j_list="12", snr_grid="2.5")
+    assert spec.j_list == (12,) and spec.snr_grid == (2.5,)
+    spec = tiny_spec(system="DF", m=16, j_list="2, 12", snr_grid="-1 2.5,3")
+    assert spec.j_list == (2, 12) and spec.snr_grid == (-1.0, 2.5, 3.0)
+    # A config file's or a flag's list string reaches the spec unsplit.
+    spec = build_spec({"j_list": "2 12"}, {"system": "DF", "n": "96", "k": "4", "m": "16",
+                                           "snr_grid": "2.5,3"})
+    assert spec.j_list == (2, 12) and spec.snr_grid == (2.5, 3.0)
+
+
 def test_read_csv_names_the_cell_it_cannot_convert(tmp_path, capsys):
     out = tmp_path / "r.csv"
     run_experiment(tiny_spec(output=str(out), j_list=(1, 8)))

@@ -22,7 +22,7 @@ from sim_oracle import reference_simulate_batch
 
 from ffma import experiment
 from ffma.baseline_aloha import AlohaConfig, aloha_cfsp_batch
-from ffma.experiment import ExperimentSpec, _noise_level, _simulate_batch
+from ffma.experiment import ExperimentSpec, _point_configs, _simulate_batch
 from ffma.ffma_system import SystemConfig, transmit_cfsp_batch
 from ffma.linear_code import LinearCode
 
@@ -48,12 +48,15 @@ def desk_code():
 
 @pytest.mark.parametrize("system, j_users, snr_db", POINTS)
 def test_simulate_batch_matches_reference(desk_code, monkeypatch, system, j_users, snr_db):
+    # Four copies of the point, so that point index 3 exists and draws its
+    # own streams.
     spec = ExperimentSpec(
-        system=system, j_list=(j_users,), snr_grid=(snr_db,),
+        system=system, j_list=(j_users,), snr_grid=(snr_db,) * 4,
         mu_pas=60.0 if system == "PA" else 1.0, **DESK,
     )
     code = None if system == "ALOHA" else desk_code
-    n0 = _noise_level(spec, j_users, snr_db)
+    configs = _point_configs(spec, code)
+    n0 = spec.grid[0][2]
 
     # Record what the receiver is handed, to compare the channel outputs
     # themselves and not only the decisions they lead to.
@@ -67,9 +70,9 @@ def test_simulate_batch_matches_reference(desk_code, monkeypatch, system, j_user
 
     monkeypatch.setattr(experiment, name, recording)
     for point_index, start_frame, count in ((0, 0, 100), (3, 200, 37)):
-        args = (spec, code, j_users, n0, point_index, start_frame, count)
-        got = _simulate_batch(*args)
-        want = reference_simulate_batch(*args)
+        got = _simulate_batch(spec, configs, point_index, start_frame, count)
+        want = reference_simulate_batch(spec, code, j_users, n0, point_index, start_frame,
+                                        count)
         assert got[:3] == want[:3]
         assert got[3].dtype == want[3].dtype and np.array_equal(got[3], want[3])
 
@@ -104,26 +107,26 @@ _FAULT_PROBE = textwrap.dedent("""
     from ffma import experiment
 
     with open(sys.argv[1], "rb") as fh:
-        spec, code, j_users, n0 = pickle.load(fh)
-    experiment._init_worker(spec, code)
+        spec, configs = pickle.load(fh)
+    experiment._init_worker(spec, configs)
     faults = []
     for b in range(13):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        experiment._worker_batch(j_users, n0, 0, 100 * b, 100)
+        experiment._worker_batch(0, 100 * b, 100)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     print(statistics.median(faults[3:]))
 """)
 
 
-def _warm_batch_faults(tmp_path, spec, code, j_users, snr_db):
+def _warm_batch_faults(tmp_path, spec, code):
     """The median minor-fault count of a warm batch in a fresh worker.
 
-    A fresh process unpickles its initargs and runs one point, as a pool
-    worker does: 3 warm-up batches, then the median of 10.
+    A fresh process unpickles its initargs and runs the spec's one point,
+    as a pool worker does: 3 warm-up batches, then the median of 10.
     """
     job = tmp_path / "job.pickle"
     with open(job, "wb") as fh:
-        pickle.dump((spec, code, j_users, _noise_level(spec, j_users, snr_db)), fh)
+        pickle.dump((spec, _point_configs(spec, code)), fh)
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
         [sys.executable, "-c", _FAULT_PROBE, str(job)],
@@ -145,7 +148,7 @@ def test_warm_aloha_worker_batches_do_not_fault(tmp_path):
     # fault in spikes of up to ~2 000 whose place moves with the process's
     # memory layout, so no fixed count tells the two apart reliably.)
     spec = ExperimentSpec(system="ALOHA", j_list=(30,), snr_grid=(2.0,), **DESK)
-    faults = _warm_batch_faults(tmp_path, spec, None, 30, 2.0)
+    faults = _warm_batch_faults(tmp_path, spec, None)
     assert faults <= 10, faults
 
 
@@ -159,7 +162,7 @@ def test_warm_ffma_worker_batches_do_not_fault(desk_code, tmp_path, system, mu_p
     # 2 000-4 000 (PA) minor faults each.
     spec = ExperimentSpec(system=system, j_list=(j_users,), snr_grid=(snr_db,),
                           mu_pas=mu_pas, **DESK)
-    faults = _warm_batch_faults(tmp_path, spec, desk_code, j_users, snr_db)
+    faults = _warm_batch_faults(tmp_path, spec, desk_code)
     assert faults <= 10, faults
 
 
