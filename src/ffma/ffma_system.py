@@ -120,11 +120,13 @@ class SystemConfig:
 # Transmitter
 # ---------------------------------------------------------------------------
 
-# Element budget of the per-batch temporaries (transmit's parity counts, the
-# detector's levels x samples block), so memory stays flat in J.  Not smaller:
-# at 1 << 18 no freed block raised glibc's dynamic mmap threshold past BP's
-# 1.4 MB buffers, so those were mmapped and page-faulted on every call (desk
-# SF batches 23 -> 28 ms).  At 1 << 21 every desk block fits in one chunk.
+# Element budget of transmit's float32 parity-count block, so its memory stays
+# flat in J.  It has a second job in a one-worker run, where the allocator is
+# left as it is: freeing a block this large (up to 8 MiB; 7.2 MB at desk J=60)
+# lifts glibc's dynamic mmap and trim thresholds above BP's 1.4 MB loop
+# buffers, which then stay on the heap.  At 1 << 18 no freed block did, so
+# those buffers were mmapped and page-faulted on every call (desk SF batches
+# 13 -> 17 ms, 0 -> ~3 100 minor faults).
 _CHUNK = 1 << 21
 
 
@@ -182,6 +184,11 @@ def _parity_ones(bits: np.ndarray, P: np.ndarray, rows: np.ndarray) -> np.ndarra
 # 2q/(1 - q) < 1e-16 exactly when q < exp(-_TAIL); see cfsp_posterior.
 _TAIL = math.log(2e16 + 1.0)
 
+# Element budget of the detector's float64 levels x samples block: 2 MiB, one
+# L2 cache, so each block is still cached when its exp and class sums read it
+# back.  Smaller than _CHUNK, which the allocator needs, not the detector.
+_DETECTOR_CHUNK = 1 << 18
+
 
 @lru_cache(maxsize=None)
 def _log_comb(j_users: int) -> np.ndarray:
@@ -224,11 +231,12 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
     """
     if not 0 < amplitude < math.inf:
         raise ValueError(f"amplitude must be positive and finite, got {amplitude}")
-    if not 0 < n0 < math.inf:
-        raise ValueError(f"n0 must be positive and finite, got {n0}")
     if j_users < 1:
         raise ValueError(f"j_users must be >= 1, got {j_users}")
     J, a = int(j_users), float(amplitude)
+    if not detector_is_finite(n0, a, J):
+        raise ValueError(f"n0 must be positive and finite, and leave 8 a^2 (J+1)^2 / n0 "
+                         f"finite, got n0={n0} (a={a}, J={J})")
     y_arr = np.asarray(y, dtype=np.float64)
     scale = 4.0 * a / n0
     if J == 1:
@@ -255,9 +263,10 @@ def cfsp_posterior(y, j_users: int, amplitude: float, n0: float):
         # -step_J = +inf, so i* <= J.
         neg_step = -(np.append(np.diff(log_comb), -np.inf)
                      - (a * scale) * (2.0 * np.arange(J + 1) + 1.0 - J))
-    # Samples are taken in near-equal chunks of at most _CHUNK // width, and
-    # of at least two, so no chunk is summed pairwise either.
-    n_chunks = max(1, -(-flat.size // max(4, _CHUNK // width)))
+    # Samples are taken in near-equal chunks of at most _DETECTOR_CHUNK // width,
+    # and of at least two, so no chunk is summed pairwise either.  numpy adds
+    # a block's rows one by one, so the LLR does not depend on the chunking.
+    n_chunks = max(1, -(-flat.size // max(4, _DETECTOR_CHUNK // width)))
     llr = np.empty(flat.shape)
     for part, out in zip(np.array_split(flat, n_chunks), np.array_split(llr, n_chunks)):
         if width <= J:

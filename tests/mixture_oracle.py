@@ -52,9 +52,11 @@ def bisection_posterior(y, j_users: int, amplitude: float, n0: float):
     i* is the number of i < J with d_i = step_i + scale*y > 0, found in
     J.bit_length() rounds of bisection; settled entries stay put because
     d_J = -inf.  J = 1 takes the whole-mixture path, which gives NaN where
-    scale*(y + a) overflows.  Samples are chunked by ffma_system._CHUNK as
-    in the simulator, since the chunking moves the LLR's last bit; for the
-    same reason one sample is taken twice, as in the simulator.
+    scale*(y + a) overflows.  Samples are chunked by ffma_system._CHUNK, a
+    larger budget than the simulator's _DETECTOR_CHUNK: numpy adds a
+    block's rows one by one, so the chunking does not move the LLR as long
+    as every chunk holds at least two samples.  A single sample is summed
+    pairwise instead, so one sample is taken twice, as in the simulator.
     """
     J, a = int(j_users), float(amplitude)
     y_arr = np.asarray(y, dtype=np.float64)

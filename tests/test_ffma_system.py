@@ -241,6 +241,10 @@ def test_posterior_validation():
             cfsp_posterior(0.0, 3, bad, 1.0)
         with pytest.raises(ValueError, match="n0 must be positive and finite"):
             cfsp_posterior(0.0, 3, 1.0, bad)
+    # A subnormal n0 overflows 8 a^2 (J+1)^2 / n0, and the LLRs came out NaN.
+    for j_users in (1, 3):
+        with pytest.raises(ValueError, match=r"leave 8 a\^2 \(J\+1\)\^2 / n0 finite"):
+            cfsp_posterior(np.array([0.5, 1.0, 3.0]), j_users, 1.0, 1e-320)
 
 
 @pytest.mark.parametrize("n0", [math.nan, math.inf, 1e-320, 0.0, -1.0])
@@ -540,7 +544,7 @@ def test_posterior_chunks_over_samples_exactly(j_users, monkeypatch):
         for size in sizes:
             y = rng.normal(0.0, a * math.sqrt(j_users) + 0.7, size)
             cases.append((y, a, cfsp_posterior(y, j_users, a, 1.0)))
-    monkeypatch.setattr(ffma_system, "_CHUNK", 64)
+    monkeypatch.setattr(ffma_system, "_DETECTOR_CHUNK", 64)
     for y, a, whole in cases:
         assert cfsp_posterior(y, j_users, a, 1.0).tobytes() == whole.tobytes(), (a, y.size)
 
@@ -583,16 +587,16 @@ def test_transmit_and_detector_memory_flat_in_j(code600):
     # J = 300 users (k = 1) on the desk code, 100 frames.  Unchunked, the
     # parity counts alone are a (J, 100, 300) float32 block (36 MB) and the
     # whole-mixture detector a (J+1, 30 000) float64 block (72 MB).
-    # Chunked, each holds at most _CHUNK elements (float32 counts plus
-    # their uint8 copies; one float64 levels x samples block), plus arrays
-    # the size of the batch.
+    # Chunked, transmit holds at most _CHUNK float32 counts plus their uint8
+    # copies, and the detector one float64 levels x samples block of at most
+    # 2 MiB (one L2 cache), each plus arrays the size of the batch.
     budget = ffma_system._CHUNK
     cfg = SystemConfig(code600, k=1, j_users=300, mode="SF")
     bits = np.random.default_rng(23).integers(0, 2, size=(100, 300, 1), dtype=np.uint8)
     assert _traced_peak(transmit_cfsp_batch, bits, cfg) <= 8 * budget + 64 * 100 * 600
     y = np.random.default_rng(24).normal(0.0, 2.0, size=100 * 300)
-    assert 301 * y.size > budget    # so the samples span several chunks
-    assert _traced_peak(cfsp_posterior, y, 300, 0.1, 1.0) <= 8 * budget + 64 * y.size
+    assert 8 * 301 * y.size > 2 << 20    # so the samples span several chunks
+    assert _traced_peak(cfsp_posterior, y, 300, 0.1, 1.0) <= (2 << 20) + 64 * y.size
 
 
 def test_receive_rejects_wrong_length(code96):

@@ -3,7 +3,8 @@
 ``_simulate_batch`` must give the reference's counts and per-user error
 arrays (``sim_oracle.py``), from the same noise samples.  Every pool
 worker calls ``keep_freed_memory``; a warm 100-frame batch in a fresh
-worker then takes (almost) no minor page faults.
+worker then takes (almost) no minor page faults.  A one-worker run leaves
+the allocator alone, and its warm desk batches take none either.
 """
 
 import math
@@ -108,28 +109,35 @@ _FAULT_PROBE = textwrap.dedent("""
 
     with open(sys.argv[1], "rb") as fh:
         spec, configs = pickle.load(fh)
-    experiment._init_worker(spec, configs)
+    if sys.argv[2] == "pool":
+        experiment._init_worker(spec, configs)
+        batch = experiment._worker_batch
+    else:
+        batch = lambda *task: experiment._simulate_batch(spec, configs, *task)
     faults = []
     for b in range(13):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        experiment._worker_batch(0, 100 * b, 100)
+        batch(0, 100 * b, 100)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     print(statistics.median(faults[3:]))
 """)
 
 
-def _warm_batch_faults(tmp_path, spec, code):
-    """The median minor-fault count of a warm batch in a fresh worker.
+def _warm_batch_faults(tmp_path, spec, code, pool=True):
+    """The median minor-fault count of a warm batch in a fresh process.
 
-    A fresh process unpickles its initargs and runs the spec's one point,
-    as a pool worker does: 3 warm-up batches, then the median of 10.
+    A fresh process unpickles its initargs and runs the spec's one point:
+    3 warm-up batches, then the median of 10.  With ``pool`` it starts as a
+    pool worker does (``_init_worker``, so ``keep_freed_memory``); without,
+    it runs ``_simulate_batch`` on the allocator as it found it, as a
+    one-worker run does.
     """
     job = tmp_path / "job.pickle"
     with open(job, "wb") as fh:
         pickle.dump((spec, _point_configs(spec, code)), fh)
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
-        [sys.executable, "-c", _FAULT_PROBE, str(job)],
+        [sys.executable, "-c", _FAULT_PROBE, str(job), "pool" if pool else "one"],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     return float(out.stdout)
@@ -163,6 +171,21 @@ def test_warm_ffma_worker_batches_do_not_fault(desk_code, tmp_path, system, mu_p
     spec = ExperimentSpec(system=system, j_list=(j_users,), snr_grid=(snr_db,),
                           mu_pas=mu_pas, **DESK)
     faults = _warm_batch_faults(tmp_path, spec, desk_code)
+    assert faults <= 10, faults
+
+
+@_GLIBC_ONLY
+@pytest.mark.parametrize("system, mu_pas, snr_db", [("SF", 1.0, 2.6), ("PA", 60.0, -12.0)])
+def test_warm_one_worker_batches_do_not_fault(desk_code, tmp_path, system, mu_pas, snr_db):
+    # A one-worker run leaves glibc's thresholds at their defaults, so its
+    # warm batches stay off mmap only because freeing transmit's parity-count
+    # block (_CHUNK float32 elements, 7.2 MB at J=60) lifts glibc's dynamic
+    # mmap threshold above BP's 1.4 MB buffers.  With a 1 << 18 element
+    # block those buffers are mmapped on every call: about 3 400 (SF) and
+    # 2 000 (PA) minor faults per batch.
+    spec = ExperimentSpec(system=system, j_list=(60,), snr_grid=(snr_db,), mu_pas=mu_pas,
+                          **DESK)
+    faults = _warm_batch_faults(tmp_path, spec, desk_code, pool=False)
     assert faults <= 10, faults
 
 
