@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import importlib
 import logging
 import math
 import time
@@ -383,6 +384,9 @@ def run_experiment(spec: ExperimentSpec) -> list[BerPoint]:
     executor = None
     run, window = functools.partial(_in_process, spec, configs), 1
     if spec.workers > 1:
+        # Loaded once here, not at each worker's first batch: an ALOHA
+        # sweep builds no code, so nothing else loads it before the fork.
+        importlib.import_module("numpy.random")
         executor = ProcessPoolExecutor(
             max_workers=spec.workers,
             initializer=_init_worker,

@@ -54,56 +54,90 @@ messages are log-likelihood ratios ``log(P(0)/P(1))`` clamped to +-40.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 LLR_CLAMP = 40.0
 _MAX_ATTEMPTS = 20  # PEG graphs drawn, seeded (seed, attempt), before giving up
-_SPAN = 1 << 32  # PEG walk positions per search, more than any search has
 
 
 class ParityCheckMatrix:
-    """Sparse GF(2) parity-check matrix stored as adjacency lists.
+    """Sparse GF(2) parity-check matrix stored as one sorted edge list.
 
     Parameters
     ----------
     n : int
         Number of columns (codeword length).
-    row_adj : sequence of sequences
-        For each check row, the column indices with a 1.
+    row_adj : sequence of integer sequences
+        For each check row, the column indices with a 1 (any order;
+        repeats count once).
+
+    Edge e joins column ``edge_var[e]`` to check ``edge_chk[e]``; the
+    edges run in check order, each check's columns ascending.  ``row_adj``
+    and ``col_adj``, each check's columns and each column's checks, are
+    read off the edge list when first asked for.
     """
 
     def __init__(self, n: int, row_adj) -> None:
-        self.n = int(n)
-        self.row_adj = [np.unique(np.asarray(row, dtype=np.int64)) for row in row_adj]
-        self.n_checks = len(self.row_adj)
-        if not self.n_checks:
+        rows = [np.asarray(row).ravel() for row in row_adj]
+        if not rows:
             raise ValueError("a parity-check matrix needs at least one check")
-        row_deg = np.array([row.size for row in self.row_adj], dtype=np.int64)
+        for c, row in enumerate(rows):
+            if row.size and row.dtype.kind not in "iu":
+                raise ValueError(f"check {c} lists non-integer columns ({row.dtype})")
+        edge_chk = np.repeat(np.arange(len(rows)), [row.size for row in rows])
+        self._index(n, len(rows), edge_chk, np.concatenate(rows).astype(np.int64, copy=False))
+
+    @classmethod
+    def _from_edges(cls, n: int, n_checks: int, edge_chk, edge_var) -> "ParityCheckMatrix":
+        """The matrix of (check, column) pairs given as two arrays, any order."""
+        pcm = cls.__new__(cls)
+        pcm._index(n, n_checks, edge_chk, edge_var)
+        return pcm
+
+    def _index(self, n: int, n_checks: int, edge_chk, edge_var) -> None:
+        """Check the edges, sort and deduplicate them, and build the slot tables."""
+        self.n, self.n_checks = int(n), n_checks
+        order = np.lexsort((edge_var, edge_chk))
+        edge_chk, edge_var = edge_chk[order], edge_var[order]
+        first = np.ones(edge_var.size, dtype=bool)  # each (check, column) pair's first copy
+        first[1:] = (np.diff(edge_chk) != 0) | (np.diff(edge_var) != 0)
+        edge_chk, edge_var = edge_chk[first], edge_var[first]
+        self.edge_chk, self.edge_var = edge_chk, edge_var
+        row_deg = np.bincount(edge_chk, minlength=n_checks)
         if (row_deg == 0).any():
             raise ValueError(f"check {np.argmin(row_deg)} has no connected columns")
-        self.edge_var = np.concatenate(self.row_adj)
-        self.edge_chk = np.repeat(np.arange(self.n_checks), row_deg)
-        outside = (self.edge_var < 0) | (self.edge_var >= self.n)
+        outside = (edge_var < 0) | (edge_var >= self.n)
         if outside.any():
-            raise ValueError(f"check {self.edge_chk[outside][0]} references "
+            raise ValueError(f"check {edge_chk[outside][0]} references "
                              f"columns outside [0, {self.n})")
-        col_deg = np.bincount(self.edge_var, minlength=self.n)
+        col_deg = np.bincount(edge_var, minlength=self.n)
         if (col_deg == 0).any():
             empty = np.flatnonzero(col_deg == 0)[:8].tolist()
             raise ValueError(f"columns with no parity checks: {empty}")
-        var_order = np.argsort(self.edge_var, kind="stable")
+        var_order = np.argsort(edge_var, kind="stable")
         var_start = np.cumsum(col_deg) - col_deg
-        self.col_adj = np.split(self.edge_chk[var_order], var_start[1:])
-        n_edges = self.edge_var.size
+        n_edges = edge_var.size
         rank = np.arange(n_edges) - np.repeat(var_start, col_deg)
         self.var_slots = np.full((self.n, int(col_deg.max())), n_edges)
-        self.var_slots[self.edge_var[var_order], rank] = var_order
+        self.var_slots[edge_var[var_order], rank] = var_order
         chk_rank = np.arange(n_edges) - np.repeat(np.cumsum(row_deg) - row_deg, row_deg)
-        self.chk_edges = np.full((int(row_deg.max()), self.n_checks), n_edges)
-        self.chk_edges[chk_rank, self.edge_chk] = np.arange(n_edges)
-        self.chk_slots = np.append(self.edge_var, self.n)[self.chk_edges]
+        self.chk_edges = np.full((int(row_deg.max()), n_checks), n_edges)
+        self.chk_edges[chk_rank, edge_chk] = np.arange(n_edges)
+        self.chk_slots = np.append(edge_var, self.n)[self.chk_edges]
+
+    @functools.cached_property
+    def row_adj(self) -> list[np.ndarray]:
+        """Each check's columns, ascending."""
+        return np.split(self.edge_var, np.flatnonzero(np.diff(self.edge_chk)) + 1)
+
+    @functools.cached_property
+    def col_adj(self) -> list[np.ndarray]:
+        """Each column's checks, ascending."""
+        var_order = np.argsort(self.edge_var, kind="stable")
+        return np.split(self.edge_chk[var_order], np.cumsum(self.column_weights())[:-1])
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_checks, self.n), dtype=np.uint8)
@@ -111,7 +145,7 @@ class ParityCheckMatrix:
         return dense
 
     def column_weights(self) -> np.ndarray:
-        return np.array([cl.size for cl in self.col_adj], dtype=np.int64)
+        return np.bincount(self.edge_var, minlength=self.n)
 
 
 @dataclass
@@ -155,9 +189,12 @@ class LinearCode:
             if not 0 <= n_sent <= self.k:
                 raise ValueError(f"n_sent={n_sent} out of range [0, k={self.k}]")
             cut = self.k - n_sent
-            self._shortened[n_sent] = ParityCheckMatrix(self.n - cut, [
-                np.concatenate([row[row < n_sent], row[row >= self.k] - cut])
-                for row in self.pcm.row_adj])
+            var = self.pcm.edge_var
+            keep = (var < n_sent) | (var >= self.k)
+            var = var[keep]
+            self._shortened[n_sent] = ParityCheckMatrix._from_edges(
+                self.n - cut, self.pcm.n_checks, self.pcm.edge_chk[keep],
+                np.where(var >= self.k, var - cut, var))
         return self._shortened[n_sent]
 
     @classmethod
@@ -216,35 +253,37 @@ def _peg_graph(n: int, n_checks: int, col_weight: int, rng) -> list[list[int]]:
 
     Row c of ``hop`` is c's walk list (see the module docstring), padded
     with n_checks, which every search counts as reached.  ``key[c]`` is c's
-    first position in the search counting down from ``top``; a key at or
-    below ``top - _SPAN`` is left from an earlier search.
+    first position in the current search, read off ``pos``, which counts
+    down; 0 means not reached, and each search resets the checks it reached.
     """
     chk_deg = np.zeros(n_checks, dtype=np.int64)
     var_adj: list[list[int]] = [[] for _ in range(n)]
     chk_adj: list[list[int]] = [[] for _ in range(n_checks)]
     hop = np.full((n_checks + 1, 0), n_checks)
     hop_len = [0] * n_checks
+    pos = np.empty(0, dtype=np.int64)  # hop.size, ..., 2, 1: no search walks further
     key = np.zeros(n_checks + 1, dtype=np.int64)
     key[n_checks] = np.iinfo(np.int64).max
-    top = 0
 
     for v in range(n):
         for t in range(col_weight):
             if t == 0:
                 cand = np.flatnonzero(chk_deg == chk_deg.min())
             else:
-                top += _SPAN
-                level, at, n_reached = np.array(var_adj[v]), top, t
-                key[level] = top
+                level, at, n_reached = np.array(var_adj[v]), 0, t
+                reached = [level]
+                key[level] = pos.size + 1
                 while level.size and n_reached < n_checks:
                     walk = hop.take(level, axis=0).ravel()
-                    order = np.arange(at - 1, at - 1 - walk.size, -1)
-                    at -= walk.size
+                    order = pos[at:at + walk.size]
+                    at += walk.size
                     np.maximum.at(key, walk, order)
                     level = walk[key[walk] == order]  # first appearances
+                    reached.append(level)
                     n_reached += level.size
                 if not level.size:
-                    level = np.flatnonzero(key[:-1] <= top - _SPAN)
+                    level = np.flatnonzero(key[:-1] == 0)
+                key[np.concatenate(reached)] = 0
                 degs = chk_deg[level]
                 cand = level[degs == degs.min()]
             c = int(cand[rng.integers(len(cand))])
@@ -252,6 +291,7 @@ def _peg_graph(n: int, n_checks: int, col_weight: int, rng) -> list[list[int]]:
             grow = max([hop_len[c] + t] + [hop_len[c2] + 1 for c2 in adj]) - hop.shape[1]
             if grow > 0:
                 hop = np.pad(hop, ((0, 0), (0, grow)), constant_values=n_checks)
+                pos = np.arange(hop.size, 0, -1)
             hop[c, hop_len[c]:hop_len[c] + t] = adj
             hop_len[c] += t
             for c2 in adj:
@@ -284,14 +324,16 @@ def _systematize(pcm: ParityCheckMatrix) -> LinearCode | None:
     r = 0
     for col in range(n):
         word, bit = col >> 6, np.uint64(1 << (col & 63))
-        below = np.flatnonzero(rows[r:, word] & bit)
+        hits = np.flatnonzero(rows[:, word] & bit)
+        below = hits[hits >= r]
         if below.size == 0:
             continue
-        piv = r + int(below[0])
+        # Row r holds the bit only if it is the pivot, so after the swap the
+        # rows to clear are the hits other than piv.
+        piv = int(below[0])
         if piv != r:
             rows[[r, piv]] = rows[[piv, r]]
-        hits = np.flatnonzero(rows[:, word] & bit)
-        hits = hits[hits != r]
+        hits = hits[hits != piv]
         rows[hits, word:] ^= rows[r, word:]
         pivots.append(col)
         r += 1
@@ -313,8 +355,8 @@ def _systematize(pcm: ParityCheckMatrix) -> LinearCode | None:
     parity >>= (info_cols & 7).astype(np.uint8)[:, None]
     parity &= 1
 
-    permuted_rows = [new_pos[adj] for adj in pcm.row_adj]
-    return LinearCode(ParityCheckMatrix(n, permuted_rows), parity, perm)
+    permuted = ParityCheckMatrix._from_edges(n, n_checks, pcm.edge_chk, new_pos[pcm.edge_var])
+    return LinearCode(permuted, parity, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +554,7 @@ def _checks_satisfied(hard: np.ndarray, pcm: ParityCheckMatrix) -> np.ndarray:
 def save_alist(pcm: ParityCheckMatrix, path) -> None:
     """Write the matrix in alist format (1-based, zero-padded rows)."""
     col_deg = pcm.column_weights()
-    row_deg = np.array([r.size for r in pcm.row_adj])
+    row_deg = np.bincount(pcm.edge_chk, minlength=pcm.n_checks)
     cmax, rmax = int(col_deg.max()), int(row_deg.max())
     lines = [
         f"{pcm.n} {pcm.n_checks}",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bp_oracle import frame_major_bp_decode_batch, padded_bp_decode_batch
+from pcm_oracle import RowMatrix, shortened as shortened_oracle
 from peg_oracle import peg_graph
 from ffma import linear_code
 from ffma.ffma_system import SystemConfig, _bit_priors, transmit_cfsp_batch
@@ -533,9 +534,80 @@ def test_linear_code_from_alist(tmp_path):
 def test_parity_check_matrix_validation():
     with pytest.raises(ValueError, match="at least one check"):
         ParityCheckMatrix(4, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="check 1 has no connected columns"):
         ParityCheckMatrix(4, [[0, 1], []])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="check 1 has no connected columns"):
+        ParityCheckMatrix(4, [[0, 1, 2, 3], np.array([], dtype=np.float64)])
+    with pytest.raises(ValueError, match=r"check 0 references columns outside \[0, 4\)"):
         ParityCheckMatrix(4, [[0, 5]])
-    with pytest.raises(ValueError):
-        ParityCheckMatrix(4, [[0, 1], [0, 1]])  # column 2,3 unused
+    with pytest.raises(ValueError, match=r"columns with no parity checks: \[2, 3\]"):
+        ParityCheckMatrix(4, [[0, 1], [0, 1]])
+    # Column indices must be integers: floats used to be truncated and
+    # strings parsed, so these built the rows [0, 1] and [1, 2].
+    for rows, bad in [([[0.9, 1.2], [1.7, 2.0]], 0), ([["0", "1"], [1, 2]], 0),
+                      ([[0, 1], [True, False]], 1), ([[0, 1, 2], [2.0]], 1)]:
+        with pytest.raises(ValueError, match=f"check {bad} lists non-integer columns"):
+            ParityCheckMatrix(3, rows)
+
+
+def _build(cls, n, rows):
+    """(matrix, None) if ``cls`` accepts the rows, else (None, its message)."""
+    try:
+        return cls(n, rows), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def assert_same_matrix(pcm, ref):
+    assert (pcm.n, pcm.n_checks) == (ref.n, ref.n_checks)
+    for name in ("edge_var", "edge_chk", "var_slots", "chk_edges", "chk_slots"):
+        a, b = getattr(pcm, name), getattr(ref, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and (a == b).all(), name
+    for name in ("row_adj", "col_adj"):
+        a, b = getattr(pcm, name), getattr(ref, name)
+        assert len(a) == len(b), name
+        assert all(x.dtype == y.dtype and x.tolist() == y.tolist() for x, y in zip(a, b)), name
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_parity_check_matrix_matches_row_oracle(seed):
+    # Unsorted rows with repeated columns, given as lists, int32 rows, int64
+    # rows or one 2-D array; most cover every column, some leave one out,
+    # reference one outside [0, n) or have an empty row.
+    rng = np.random.default_rng(seed)
+    n, n_checks, form = int(rng.integers(2, 30)), int(rng.integers(1, 12)), seed % 4
+    cover = np.resize(rng.permutation(n), (n_checks, -(-n // n_checks)))
+    extra = rng.integers(0, n, (n_checks, int(rng.integers(0, 6))))
+    if form == 3:
+        rows = rng.permuted(np.hstack([cover, extra]), axis=1)
+    else:
+        rows = [rng.permutation(np.r_[c, e[:rng.integers(e.size + 1)]])
+                for c, e in zip(cover, extra)]
+    fault = rng.integers(8)
+    if fault == 0:
+        for row in rows:
+            row[row == cover[0, 0]] = (cover[0, 0] + 1) % n  # column cover[0, 0] unused
+    elif fault == 1:
+        rows[rng.integers(n_checks)][0] = rng.choice([-1, n])
+    elif fault == 2 and form != 3:
+        rows[rng.integers(n_checks)] = rows[0][:0]
+    if form != 3:
+        rows = [row.tolist() if form == 0 else row.astype([np.int32, np.int64][form - 1])
+                for row in rows]
+    pcm, err = _build(ParityCheckMatrix, n, rows)
+    ref, ref_err = _build(RowMatrix, n, rows)
+    assert err == ref_err
+    if ref is not None:
+        assert_same_matrix(pcm, ref)
+
+
+@pytest.mark.parametrize("rows", [[], [[0, 1], []], [[], []], [[0, 1], [2, 4]], [[0, -1], [9]],
+                                  [[0, 1], [0, 1]], [[3, 3, 0], [1, 1]]])
+def test_parity_check_matrix_errors_match_row_oracle(rows):
+    _, err = _build(ParityCheckMatrix, 4, rows)
+    assert err is not None and err == _build(RowMatrix, 4, rows)[1]
+
+
+@pytest.mark.parametrize("n_sent", [0, 1, 5, 150, 299, 300])
+def test_shortened_matches_row_oracle(desk_code, n_sent):
+    assert_same_matrix(desk_code.shortened(n_sent), shortened_oracle(desk_code, n_sent))
