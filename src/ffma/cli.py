@@ -14,21 +14,17 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-import typing
 
 from .analysis import polarization_gain_db, repetition_gain_db
-from .experiment import SYSTEMS, ExperimentSpec, _convert, emit_plot_data, run_experiment
+from .experiment import SYSTEMS, ExperimentSpec, emit_plot_data, run_experiment
 
 log = logging.getLogger(__name__)
 
-# Each spec field's type, resolved from its annotation (a string under
-# postponed evaluation); the spec splits a list string and converts its items.
-_FIELD_TYPES = typing.get_type_hints(ExperimentSpec)
-
 
 def parse_config_file(path) -> dict:
-    """Parse a flat key=value file ('#' starts a comment)."""
+    """Parse a flat key=value file ('#' starts a comment; a key is set once)."""
     values: dict = {}
+    set_on: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -37,30 +33,20 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
+            if key in set_on:
+                raise ValueError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
+            values[key], set_on[key] = value, lineno
     return values
 
 
-def _coerce(key: str, value):
-    kind = _FIELD_TYPES.get(key, str)
-    if not isinstance(value, str) or kind is tuple:   # the spec splits a list string
-        return value
-    if kind is bool:
-        word = value.strip().lower()
-        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-            raise ValueError(f"{key}: {value!r} is not a boolean (1/true/yes/on or 0/false/no/off)")
-        return word in ("1", "true", "yes", "on")
-    return _convert(kind, value, key)
-
-
 def build_spec(config: dict, overrides: dict) -> ExperimentSpec:
+    """The spec from config values and flags (flags win); the spec reads their strings."""
     merged = dict(config)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    kwargs = {key: _coerce(key, value) for key, value in merged.items()}
-    missing = [key for key in ("system", "n", "k") if key not in kwargs]
+    missing = [key for key in ("system", "n", "k") if key not in merged]
     if missing:
         raise ValueError(f"missing required parameters: {', '.join(missing)}")
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(**merged)
 
 
 def _add_run_parser(sub) -> None:

@@ -35,6 +35,7 @@ import functools
 import importlib
 import logging
 import math
+import operator
 import time
 import typing
 from collections import deque
@@ -81,11 +82,11 @@ class ExperimentSpec:
     record_timing: bool = False
 
     def __post_init__(self) -> None:
-        for key, kind in (("j_list", int), ("snr_grid", float)):
-            items = getattr(self, key)
-            if isinstance(items, str):   # comma- or space-separated
-                items = items.replace(",", " ").split()
-            object.__setattr__(self, key, tuple(_convert(kind, x, f"{key} item") for x in items))
+        for key, kind in _SPEC_TYPES.items():   # every field, typed or a string
+            value = _convert(kind, getattr(self, key), key)
+            if kind is tuple:
+                value = tuple(_convert(_ITEM_TYPES[key], x, f"{key} item") for x in value)
+            object.__setattr__(self, key, value)
         if self.system not in SYSTEMS:
             raise ValueError(f"system must be one of {SYSTEMS}, got {self.system!r}")
         if not self.snr_grid:
@@ -146,6 +147,10 @@ class BerPoint:
     worst_user_ber: float
 
 
+_SPEC_TYPES = typing.get_type_hints(ExperimentSpec)
+_ITEM_TYPES = {"j_list": int, "snr_grid": float}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 _POINT_TYPES = typing.get_type_hints(BerPoint)
 _COLUMNS = {f.name: f.metadata.get("column", f.name) for f in fields(BerPoint)}
 CSV_HEADER = list(_COLUMNS.values())
@@ -465,10 +470,16 @@ def read_csv(path) -> list[BerPoint]:
 
 
 def _convert(kind, value, where: str):
-    """kind(value), or a ValueError that says where the value came from."""
+    """``value`` as ``kind``, or a ValueError that says where it came from.  A bool
+    string is a 1/true/yes/on or 0/false/no/off word, a tuple string is split at commas
+    or spaces, and an int that is not a string must be an integer (not 2.5 or 25.0)."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        if isinstance(value, str) and kind is bool:
+            return _BOOL_WORDS[value.strip().lower()]
+        if isinstance(value, str) and kind is tuple:
+            value = value.replace(",", " ").split()
+        return operator.index(value) if kind is int and not isinstance(value, str) else kind(value)
+    except (KeyError, TypeError, ValueError):
         raise ValueError(f"{where}: {value!r} is not {kind.__name__}") from None
 
 

@@ -54,6 +54,10 @@ ModeLayout = namedtuple("ModeLayout", "user_pos n_info shift a_info a_par energy
 
 def mode_layout(mode: str, n: int, k: int, m: int, j_users: int, mu_pas: float = 1.0) -> ModeLayout:
     """J users' layout in ``mode`` (SF, DF or PA) on an (n, m*k) code."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if m < 1:
+        raise ValueError(f"{mode} needs an extension degree m >= 1, got m={m}")
     if not 1 <= j_users <= m:
         raise ValueError(f"j_users={j_users} out of range [1, m={m}]")
     if m * k >= n:
@@ -100,8 +104,6 @@ class SystemConfig:
     a_par: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k < 1 or self.code.k % self.k:
             raise ValueError(
                 f"k={self.k} must be >= 1 and divide the code message length {self.code.k}"

@@ -428,6 +428,16 @@ def test_config_validation(code96):
         SystemConfig(code96, 4, 2, "XX")
 
 
+def test_mode_layout_rejects_an_unknown_mode_and_m_below_one():
+    # The layout is each mode's one home, so it checks the mode itself: a
+    # lower-case "sf" is no mode, not a PA layout.  m < 1 is named before J.
+    with pytest.raises(ValueError, match="mode must be one of"):
+        ffma_system.mode_layout("sf", 96, 4, 8, 2, 2.0)
+    for mode in ("SF", "DF", "PA"):
+        with pytest.raises(ValueError, match=f"^{mode} needs an extension degree m >= 1, got m=0$"):
+            ffma_system.mode_layout(mode, 96, 4, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # Receiver round trips
 # ---------------------------------------------------------------------------

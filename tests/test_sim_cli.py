@@ -48,7 +48,7 @@ def test_spec_validation():
         with pytest.raises(ValueError):
             tiny_spec(system="PA", mu_pas=mu_pas)
     for system in ("SF", "ALOHA"):
-        for bad in ({"n": 0}, {"n": -96}, {"k": 0}, {"k": -4}):
+        for bad in ({"n": 0}, {"n": -96}, {"k": 0}, {"k": -4}, {"n": "0"}, {"k": " -4 "}):
             with pytest.raises(ValueError, match="must be >= 1"):
                 tiny_spec(system=system, **bad)
     with pytest.raises(ValueError, match="m\\*k < n"):
@@ -254,6 +254,19 @@ def test_config_file_sets_every_field_type(tmp_path):
     assert build_spec(dict(values, record_timing="off"), {}).record_timing is False
 
 
+def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
+    # The second value would silently win: exit 2 naming both lines.
+    path = _write(tmp_path / "twice.cfg", "record_timing = yes\n# timings off\nrecord_timing = no\n")
+    with pytest.raises(ValueError) as info:
+        parse_config_file(path)
+    assert str(info.value) == f"{path}:3: record_timing already set on line 1"
+    out = tmp_path / "twice.csv"
+    rc = main(["-q", "run", "--system", "SF", "--n", "96", "--k", "4", "--m", "8", "--j", "2",
+               "--snr", "6", "--config", str(path), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
 def _write(path, text):
     path.write_text(text)
     return path
@@ -357,8 +370,9 @@ def test_negative_max_iter_rejected(tmp_path, capsys):
     ])
     assert rc == 2 and not out.exists()
     assert "max_iter" in capsys.readouterr().err
-    with pytest.raises(ValueError):
-        tiny_spec(max_iter=-1)
+    for max_iter in (-1, "-1"):
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            tiny_spec(max_iter=max_iter)
     code = LinearCode.generate(96, 32, col_weight=3, seed=3)
     with pytest.raises(ValueError):
         SystemConfig(code, k=4, j_users=2, mode="DF", max_iter=-1)
@@ -441,8 +455,12 @@ def test_cli_rejects_a_boolean_typo(tmp_path, capsys):
     base = {"system": "SF", "n": "96", "k": "4", "m": "8"}
     for word in ("1", "TRUE", " yes ", "on"):
         assert build_spec(dict(base, record_timing=word), {}).record_timing is True
+        assert tiny_spec(record_timing=word).record_timing is True
     for word in ("0", "false", "No", "off"):
         assert build_spec(dict(base, record_timing=word), {}).record_timing is False
+        assert tiny_spec(record_timing=word).record_timing is False
+    with pytest.raises(ValueError, match="^record_timing: 'ture' is not bool$"):
+        tiny_spec(record_timing="ture")
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -471,6 +489,44 @@ def test_cli_bad_list_item_names_its_key(flag, value, message, tmp_path, capsys)
                "--j", argv["--j"], "--snr", argv["--snr"], "--out", str(out)])
     assert rc == 2 and not out.exists()
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("system", ["SF", "DF", "PA"])
+def test_cli_names_a_missing_m(system, tmp_path, capsys):
+    # Without --m the FFMA layout names m, not a J range [1, m=0].
+    out = tmp_path / "x.csv"
+    rc = main(["-q", "run", "--system", system, "--n", "600", "--k", "5", "--j", "1",
+               "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: {system} needs an extension degree m >= 1, got m=0\n"
+
+
+def test_spec_reads_every_field_from_its_string():
+    # The spec reads its own inputs: each field's value as text, as a config
+    # file or a flag gives it, builds the typed spec.
+    typed = tiny_spec(system="PA", j_list=(2, 4), snr_grid=(-1.0, 0.5), mu_pas=2.5,
+                      max_iter=7, col_weight=4, workers=2, record_timing=True)
+    text = {f.name: ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            for f in dataclasses.fields(ExperimentSpec) for value in [getattr(typed, f.name)]}
+    spec = ExperimentSpec(**text)
+    assert spec == typed and spec.grid == typed.grid
+    assert tiny_spec(record_timing="off").record_timing is False
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("batch_frames", 2.5), ("max_frames", 25.0), ("j_list", (2.5,)), ("j_list", 5),
+], ids=["seed", "batch_frames", "max_frames", "j_list_item", "j_list_scalar"])
+def test_spec_rejects_a_value_its_field_cannot_hold(field, value):
+    # A non-integer int, a non-integer list item or a list that is no list:
+    # a ValueError naming the field, not a truncated J or a later TypeError.
+    with pytest.raises(ValueError, match=f"^{field}"):
+        tiny_spec(**{field: value})
+
+
+def test_spec_takes_numpy_integers():
+    # The integer check is not a type check: numpy integers are integers.
+    spec = tiny_spec(n=np.int64(600), j_list=np.array([2, 3]))
+    assert spec.n == 600 and spec.j_list == (2, 3)
 
 
 def test_spec_splits_a_list_string_as_the_cli_does():
