@@ -20,9 +20,7 @@ from .linear_code import (
     LinearCode,
     ParityCheckMatrix,
     bp_decode_batch,
-    encode,
     load_alist,
-    save_alist,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ flags, or both (flags win).  Example:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -22,7 +23,9 @@ log = logging.getLogger(__name__)
 
 
 def parse_config_file(path) -> dict:
-    """Parse a flat key=value file ('#' starts a comment; a key is set once)."""
+    """Parse a flat key=value file ('#' starts a comment; each key, a spec
+    field, is set once)."""
+    keys = [f.name for f in dataclasses.fields(ExperimentSpec)]
     values: dict = {}
     set_on: dict = {}
     with open(path) as fh:
@@ -33,6 +36,9 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"valid keys: {', '.join(keys)}")
             if key in set_on:
                 raise ValueError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
             values[key], set_on[key] = value, lineno

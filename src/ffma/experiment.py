@@ -502,12 +502,14 @@ def emit_plot_data(csv_path, out_prefix=None) -> tuple[str, str]:
         for p in sorted(grp, key=lambda p: p.snr_db):
             lines.append(f"{p.snr_db:.6g} {p.ber:.6g}")
         blocks.append("\n".join(lines))
-        titles.append(f"{system} J={j}")
+        # Inside gnuplot's single quotes, '' stands for one quote.
+        titles.append(f"{system} J={j}".replace("'", "''"))
     with open(dat_path, "w") as fh:
         fh.write("\n\n\n".join(blocks) + "\n")
 
+    name = Path(dat_path).name.replace("'", "''")
     plot_terms = ", \\\n    ".join(
-        f"'{Path(dat_path).name}' index {i} using 1:2 with linespoints title '{t}'"
+        f"'{name}' index {i} using 1:2 with linespoints title '{t}'"
         for i, t in enumerate(titles)
     )
     script = "\n".join([

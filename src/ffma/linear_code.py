@@ -11,7 +11,7 @@ Provides:
 * sum-product belief-propagation decoding in the log-likelihood domain,
   flooding schedule, batched over many frames, each leaving on a zero
   syndrome or at the iteration cap (earlier on an exact message cycle);
-* alist text interchange for sparse parity-check matrices.
+* reading a sparse parity-check matrix from an alist text file.
 
 The PEG (progressive edge growth) search runs over check-to-check walk
 lists: check c's list joins, for each of its variables u in ascending
@@ -54,7 +54,6 @@ messages are log-likelihood ratios ``log(P(0)/P(1))`` clamped to +-40.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +74,7 @@ class ParityCheckMatrix:
         repeats count once).
 
     Edge e joins column ``edge_var[e]`` to check ``edge_chk[e]``; the
-    edges run in check order, each check's columns ascending.  ``row_adj``
-    and ``col_adj``, each check's columns and each column's checks, are
-    read off the edge list when first asked for.
+    edges run in check order, each check's columns ascending.
     """
 
     def __init__(self, n: int, row_adj) -> None:
@@ -127,25 +124,6 @@ class ParityCheckMatrix:
         self.chk_edges = np.full((int(row_deg.max()), n_checks), n_edges)
         self.chk_edges[chk_rank, edge_chk] = np.arange(n_edges)
         self.chk_slots = np.append(edge_var, self.n)[self.chk_edges]
-
-    @functools.cached_property
-    def row_adj(self) -> list[np.ndarray]:
-        """Each check's columns, ascending."""
-        return np.split(self.edge_var, np.flatnonzero(np.diff(self.edge_chk)) + 1)
-
-    @functools.cached_property
-    def col_adj(self) -> list[np.ndarray]:
-        """Each column's checks, ascending."""
-        var_order = np.argsort(self.edge_var, kind="stable")
-        return np.split(self.edge_chk[var_order], np.cumsum(self.column_weights())[:-1])
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_checks, self.n), dtype=np.uint8)
-        dense[self.edge_chk, self.edge_var] = 1
-        return dense
-
-    def column_weights(self) -> np.ndarray:
-        return np.bincount(self.edge_var, minlength=self.n)
 
 
 @dataclass
@@ -360,20 +338,8 @@ def _systematize(pcm: ParityCheckMatrix) -> LinearCode | None:
 
 
 # ---------------------------------------------------------------------------
-# Encoding / decoding
+# Decoding
 # ---------------------------------------------------------------------------
-
-def encode(msg, code: LinearCode) -> np.ndarray:
-    """Systematic encoding: codeword = (msg, msg @ P mod 2).
-
-    ``msg`` may be a single message of length k or a (batch, k) array.
-    """
-    msg = np.asarray(msg)
-    if msg.shape[-1] != code.k:
-        raise ValueError(f"message length {msg.shape[-1]} != k={code.k}")
-    parity = (msg.astype(np.int64) @ code.parity) & 1
-    return np.concatenate([msg.astype(np.uint8), parity.astype(np.uint8)], axis=-1)
-
 
 def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sum-product decoding of a (batch, n) block of frames.
@@ -548,31 +514,8 @@ def _checks_satisfied(hard: np.ndarray, pcm: ParityCheckMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# alist interchange
+# alist input
 # ---------------------------------------------------------------------------
-
-def save_alist(pcm: ParityCheckMatrix, path) -> None:
-    """Write the matrix in alist format (1-based, zero-padded rows)."""
-    col_deg = pcm.column_weights()
-    row_deg = np.bincount(pcm.edge_chk, minlength=pcm.n_checks)
-    cmax, rmax = int(col_deg.max()), int(row_deg.max())
-    lines = [
-        f"{pcm.n} {pcm.n_checks}",
-        f"{cmax} {rmax}",
-        " ".join(str(int(d)) for d in col_deg),
-        " ".join(str(int(d)) for d in row_deg),
-    ]
-    for c in range(pcm.n):
-        entries = [str(int(i) + 1) for i in pcm.col_adj[c]]
-        entries += ["0"] * (cmax - len(entries))
-        lines.append(" ".join(entries))
-    for row in pcm.row_adj:
-        entries = [str(int(c) + 1) for c in row]
-        entries += ["0"] * (rmax - len(entries))
-        lines.append(" ".join(entries))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
 
 def load_alist(path) -> ParityCheckMatrix:
     """Parse an alist file (padded or unpadded variants both accepted)."""
@@ -606,6 +549,6 @@ def load_alist(path) -> ParityCheckMatrix:
         for r, row in enumerate(row_adj):
             if sorted(e for e in data[4 + n + r] if e > 0) != [c + 1 for c in row]:
                 raise ValueError(f"row {r} does not match the column section")
+        return ParityCheckMatrix(n, row_adj)
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed alist file {path}: {exc}") from exc
-    return ParityCheckMatrix(n, row_adj)

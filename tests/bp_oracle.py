@@ -26,27 +26,27 @@ class _DecodeContext:
     """Padded edge-index tables for the vectorized decoder."""
 
     def __init__(self, pcm: ParityCheckMatrix) -> None:
+        # Edge e joins column edge_var[e] to check edge_chk[e]; each check's
+        # and each column's row of the tables lists its edges in edge order.
         n, n_chk = pcm.n, pcm.n_checks
-        edge_var = np.concatenate(pcm.row_adj)
+        edge_var, edge_chk = pcm.edge_var, pcm.edge_chk
         n_edges = edge_var.size
-        rmax = max(r.size for r in pcm.row_adj)
+        rmax = int(np.bincount(edge_chk, minlength=n_chk).max())
+        cmax = int(np.bincount(edge_var, minlength=n).max())
         by_check_eid = np.zeros((n_chk, rmax), dtype=np.int64)
         by_check_mask = np.zeros((n_chk, rmax), dtype=bool)
-        eid = 0
-        for i, row in enumerate(pcm.row_adj):
-            by_check_eid[i, : row.size] = np.arange(eid, eid + row.size)
-            by_check_mask[i, : row.size] = True
-            eid += row.size
-
-        cmax = max(cl.size for cl in pcm.col_adj)
         by_var_eid = np.zeros((n, cmax), dtype=np.int64)
         by_var_mask = np.zeros((n, cmax), dtype=bool)
-        slots = np.zeros(n, dtype=np.int64)
+        chk_fill = np.zeros(n_chk, dtype=np.int64)
+        var_fill = np.zeros(n, dtype=np.int64)
         for e in range(n_edges):
-            v = edge_var[e]
-            by_var_eid[v, slots[v]] = e
-            by_var_mask[v, slots[v]] = True
-            slots[v] += 1
+            c, v = edge_chk[e], edge_var[e]
+            by_check_eid[c, chk_fill[c]] = e
+            by_check_mask[c, chk_fill[c]] = True
+            chk_fill[c] += 1
+            by_var_eid[v, var_fill[v]] = e
+            by_var_mask[v, var_fill[v]] = True
+            var_fill[v] += 1
 
         self.edge_var = edge_var
         self.by_check_eid = by_check_eid

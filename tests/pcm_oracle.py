@@ -6,6 +6,11 @@ are read off the resulting rows.  ``ffma.linear_code.ParityCheckMatrix``
 sorts and deduplicates all (check, column) pairs at once instead.  For
 every valid input both must give the same arrays, and for every input
 this reference refuses, the same error message.
+
+``row_adj``, ``col_adj`` and ``dense`` read a matrix's check rows, its
+columns and its dense form off its edge list (``edge_chk``, ``edge_var``),
+and ``write_alist`` writes it as an alist file, the format
+``ffma.linear_code.load_alist`` reads.
 """
 
 import numpy as np
@@ -46,9 +51,38 @@ class RowMatrix:
         self.chk_slots = np.append(self.edge_var, self.n)[self.chk_edges]
 
 
+def row_adj(pcm) -> list[np.ndarray]:
+    """Each check's columns, in edge order (ascending)."""
+    return [pcm.edge_var[pcm.edge_chk == c] for c in range(pcm.n_checks)]
+
+
+def col_adj(pcm) -> list[np.ndarray]:
+    """Each column's checks, in edge order (ascending)."""
+    return [pcm.edge_chk[pcm.edge_var == v] for v in range(pcm.n)]
+
+
+def dense(pcm) -> np.ndarray:
+    """The (n_checks, n) 0/1 matrix."""
+    H = np.zeros((pcm.n_checks, pcm.n), dtype=np.uint8)
+    H[pcm.edge_chk, pcm.edge_var] = 1
+    return H
+
+
+def write_alist(pcm, path) -> None:
+    """Write the matrix in alist format (1-based, rows zero-padded)."""
+    cols, rows = col_adj(pcm), row_adj(pcm)
+    cmax, rmax = max(c.size for c in cols), max(r.size for r in rows)
+    lines = [f"{pcm.n} {pcm.n_checks}", f"{cmax} {rmax}",
+             " ".join(str(c.size) for c in cols), " ".join(str(r.size) for r in rows)]
+    for adj, width in ((cols, cmax), (rows, rmax)):
+        lines += [" ".join(str(i) for i in np.pad(a + 1, (0, width - a.size))) for a in adj]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def shortened(code, n_sent: int) -> RowMatrix:
     """``code.pcm`` without the message columns [n_sent, k), row by row."""
     cut = code.k - n_sent
     return RowMatrix(code.n - cut, [
         np.concatenate([row[row < n_sent], row[row >= code.k] - cut])
-        for row in code.pcm.row_adj])
+        for row in row_adj(code.pcm)])

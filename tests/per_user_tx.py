@@ -5,6 +5,7 @@ signals for a batch of frames (``transmit_cfsp_batch``,
 ``aloha_cfsp_batch``).  These functions build each user's signal on its
 own, straight from the mode definitions, so the tests can compare the
 batched sum against the frame-by-frame sum of independent transmitters.
+``encode`` is their systematic encoder, the one the tests use for codewords.
 """
 
 import math
@@ -12,7 +13,19 @@ import math
 import numpy as np
 
 from ffma.ffma_system import SystemConfig
-from ffma.linear_code import encode
+from ffma.linear_code import LinearCode
+
+
+def encode(msg, code: LinearCode) -> np.ndarray:
+    """Systematic encoding: codeword = (msg, msg @ P mod 2).
+
+    ``msg`` may be a single message of length k or a (batch, k) array.
+    """
+    msg = np.asarray(msg)
+    if msg.shape[-1] != code.k:
+        raise ValueError(f"message length {msg.shape[-1]} != k={code.k}")
+    parity = (msg.astype(np.int64) @ code.parity) & 1
+    return np.concatenate([msg.astype(np.uint8), parity.astype(np.uint8)], axis=-1)
 
 
 def _check_bits(bits, cfg) -> np.ndarray:

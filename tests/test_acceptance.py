@@ -22,9 +22,10 @@ from ffma.cli import main
 from ffma.ep_code import check_uspm, f_b2q, f_q2b, ffsp, orthogonal_ep_set
 from ffma.experiment import ExperimentSpec, run_experiment
 from ffma.ffma_system import SystemConfig, cfsp_posterior, receive_batch, transmit_cfsp_batch
-from ffma.linear_code import LinearCode, bp_decode_batch, encode
+from ffma.linear_code import LinearCode, bp_decode_batch
 
 from desk_sweeps import DESK, WORKERS, desk_specs
+from per_user_tx import encode
 
 
 def report(tag: str, ok: bool, detail: str) -> bool:

@@ -9,13 +9,13 @@ from scipy.stats import binom
 
 from map_oracle import bitwise_map, codebook
 from mixture_oracle import bisection_posterior, full_mixture_posterior
-from per_user_tx import df_transmit, pa_transmit, sf_transmit, transmit, user_parity
+from per_user_tx import df_transmit, encode, pa_transmit, sf_transmit, transmit, user_parity
 
 import ffma.ffma_system as ffma_system
 from ffma.ep_code import f_b2q, f_q2b, ffsp, orthogonal_ep_set
 from ffma.experiment import ExperimentSpec, per_user_frame_energy
 from ffma.ffma_system import SystemConfig, cfsp_posterior, receive_batch, transmit_cfsp_batch
-from ffma.linear_code import LinearCode, ParityCheckMatrix, bp_decode_batch, encode
+from ffma.linear_code import LinearCode, ParityCheckMatrix, bp_decode_batch
 
 
 @pytest.fixture(scope="module")

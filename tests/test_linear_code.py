@@ -1,12 +1,15 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bp_oracle import frame_major_bp_decode_batch, padded_bp_decode_batch
-from pcm_oracle import RowMatrix, shortened as shortened_oracle
+from pcm_oracle import RowMatrix, col_adj, dense, row_adj, write_alist
+from pcm_oracle import shortened as shortened_oracle
+from per_user_tx import encode
 from peg_oracle import peg_graph
 from ffma import linear_code
 from ffma.ffma_system import SystemConfig, _bit_priors, transmit_cfsp_batch
@@ -16,9 +19,7 @@ from ffma.linear_code import (
     ParityCheckMatrix,
     _checks_satisfied,
     bp_decode_batch,
-    encode,
     load_alist,
-    save_alist,
 )
 
 # Pinned toy code: (12, 6), column weight 3, d_min 4 (verified by
@@ -51,7 +52,7 @@ def _padded(hard):
 def test_construct_dimensions_and_weights(toy_code):
     pcm = toy_code.pcm
     assert pcm.n_checks == 6 and pcm.n == 12
-    assert (pcm.column_weights() == 3).all()
+    assert (np.bincount(pcm.edge_var, minlength=pcm.n) == 3).all()
     assert toy_code.parity.shape == (6, 6)
     assert (toy_code.n, toy_code.k) == (12, 6)
 
@@ -67,7 +68,7 @@ def test_linear_code_checks_parity_shape(toy_code):
 
 def test_generator_orthogonal_to_checks(toy_code):
     pcm = toy_code.pcm
-    H = pcm.to_dense()
+    H = dense(pcm)
     msgs, cws = all_codewords(toy_code)
     assert not (H @ cws.T % 2).any()
     assert (cws[:, :6] == msgs).all()  # systematic prefix
@@ -89,10 +90,10 @@ def test_construct_rejects_bad_dimensions():
 def test_construct_deterministic():
     a = LinearCode.generate(60, 30, col_weight=3, seed=11)
     b = LinearCode.generate(60, 30, col_weight=3, seed=11)
-    assert all((ra == rb).all() for ra, rb in zip(a.pcm.row_adj, b.pcm.row_adj))
+    assert all((ra == rb).all() for ra, rb in zip(row_adj(a.pcm), row_adj(b.pcm)))
     assert (a.parity == b.parity).all() and (a.col_perm == b.col_perm).all()
     c = LinearCode.generate(60, 30, col_weight=3, seed=12)
-    assert any((ra != rc).any() for ra, rc in zip(a.pcm.row_adj, c.pcm.row_adj))
+    assert any((ra != rc).any() for ra, rc in zip(row_adj(a.pcm), row_adj(c.pcm)))
 
 
 # SHA-1s of (edge_var, parity, col_perm) as int64, uint8 and int64 bytes.
@@ -148,7 +149,7 @@ def test_girth_at_least_six_at_moderate_size():
     pcm = LinearCode.generate(120, 60, col_weight=3, seed=4).pcm
     # no 4-cycles: any two columns share at most one check
     seen = set()
-    for c, checks in enumerate(pcm.col_adj):
+    for c, checks in enumerate(col_adj(pcm)):
         for pair in itertools.combinations(sorted(checks), 2):
             assert pair not in seen, f"4-cycle at column {c}"
             seen.add(pair)
@@ -195,7 +196,7 @@ def test_shortened_deletes_unsent_message_columns(n_sent):
     # Row by row: the original row on the kept columns, renumbered in order.
     new_pos = np.full(96, -1)
     new_pos[keep] = np.arange(keep.size)
-    for row, short_row in zip(code.pcm.row_adj, short.row_adj):
+    for row, short_row in zip(row_adj(code.pcm), row_adj(short)):
         assert short_row.tolist() == new_pos[row[new_pos[row] >= 0]].tolist()
     # A codeword whose message bits [n_sent, k) are zero, with those
     # coordinates deleted, is a codeword of the shortened code.
@@ -312,7 +313,7 @@ def _irregular_pcm(tmp_path):
     cols = [rng.choice(24, size=d, replace=False) for d in np.resize([2, 3, 4], 48)]
     rows = [[c for c, col in enumerate(cols) if r in col] for r in range(24)]
     path = tmp_path / "irregular.alist"
-    save_alist(ParityCheckMatrix(48, rows), path)
+    write_alist(ParityCheckMatrix(48, rows), path)
     return load_alist(path)
 
 
@@ -330,7 +331,7 @@ def test_bp_matches_padded_oracle(toy_code, desk_code, tmp_path):
     toy_llr[rng.random(toy_llr.shape) < 0.05] = np.inf
     toy_llr[rng.random(toy_llr.shape) < 0.05] = -np.inf
     irregular = _irregular_pcm(tmp_path)
-    assert set(irregular.column_weights().tolist()) == {2, 3, 4}
+    assert set(np.bincount(irregular.edge_var, minlength=irregular.n).tolist()) == {2, 3, 4}
     # Noisy all-zero codeword (BPSK, sigma 0.8): zero-free, so the check
     # update skips the zero count; 10 % erasures take the counting branch.
     irr_llr = 2.0 / 0.64 * (1.0 + rng.normal(0.0, 0.8, size=(300, 48)))
@@ -418,7 +419,7 @@ def test_bp_cycle_exit_proves_a_repeat_in_full():
     # skips.  Every pass matches the fingerprint of every snapshot, and only
     # the full comparison tells the period-2 cycle from a fixed point.
     oscillator = LinearCode.generate(n=8, k=4, col_weight=3, seed=1).pcm
-    pcm = ParityCheckMatrix(105, [np.arange(97)] * 33 + [row + 97 for row in oscillator.row_adj])
+    pcm = ParityCheckMatrix(105, [np.arange(97)] * 33 + [row + 97 for row in row_adj(oscillator)])
     assert pcm.edge_var.size == 3225 and (np.arange(3201, 3225) % (3225 // 128)).all()
     llr = np.hstack([np.full((3, 97), LLR_CLAMP), OSCILLATING])
     for max_iter in range(1, 41):
@@ -455,7 +456,7 @@ def test_syndrome_counts_ones_per_check(toy_code, desk_code):
     for pcm, cws in ((toy_code.pcm, all_codewords(toy_code)[1]), (desk_code.pcm, desk_cws),
                      (short, short_cws)):
         hard = np.concatenate([rng.integers(0, 2, (200, pcm.n), dtype=np.uint8), cws])
-        counts = pcm.to_dense().astype(np.int64) @ hard.T
+        counts = dense(pcm).astype(np.int64) @ hard.T
         assert (counts >= 2).any()  # a count-or-OR mix-up would show
         parity = counts % 2
         for bits in (hard, hard.astype(bool)):
@@ -466,10 +467,10 @@ def test_syndrome_counts_ones_per_check(toy_code, desk_code):
 def test_alist_round_trip(tmp_path, toy_code):
     pcm = toy_code.pcm
     path = tmp_path / "toy.alist"
-    save_alist(pcm, path)
+    write_alist(pcm, path)
     loaded = load_alist(path)
     assert loaded.n == pcm.n and loaded.n_checks == pcm.n_checks
-    assert all((a == b).all() for a, b in zip(loaded.row_adj, pcm.row_adj))
+    assert all((a == b).all() for a, b in zip(row_adj(loaded), row_adj(pcm)))
 
 
 def test_alist_known_small_matrix(tmp_path):
@@ -478,14 +479,14 @@ def test_alist_known_small_matrix(tmp_path):
     path = tmp_path / "small.alist"
     path.write_text(text)
     pcm = load_alist(path)
-    assert (pcm.to_dense() == [[1, 1, 0, 1], [0, 1, 1, 0]]).all()
+    assert (dense(pcm) == [[1, 1, 0, 1], [0, 1, 1, 0]]).all()
 
 
 def test_alist_unpadded_accepted(tmp_path):
     text = "4 2\n2 2\n1 2 1 1\n3 2\n1\n1 2\n2\n1\n1 2 4\n2 3\n"
     path = tmp_path / "small2.alist"
     path.write_text(text)
-    assert (load_alist(path).to_dense() == [[1, 1, 0, 1], [0, 1, 1, 0]]).all()
+    assert (dense(load_alist(path)) == [[1, 1, 0, 1], [0, 1, 1, 0]]).all()
 
 
 def test_alist_malformed_rejected(tmp_path):
@@ -500,9 +501,13 @@ def test_alist_malformed_rejected(tmp_path):
         "4 2\n2 2\n1 2 1 1\n2 3\n1 0\n1 2\n2 0\n1 0\n1 2 4 0\n2 3 0 0\n",
         # no row section
         "4 2\n2 2\n1 2 1 1\n3 2\n1 0\n1 2\n2 0\n1 0\n",
+        # column 3 lists no check; the sections agree
+        "4 2\n2 2\n1 2 1 0\n2 2\n1 0\n1 2\n2 0\n0 0\n1 2 0 0\n2 3 0 0\n",
+        # check 2 lists no column; the sections agree
+        "4 2\n1 4\n1 1 1 1\n4 0\n1\n1\n1\n1\n1 2 3 4\n0 0 0 0\n",
     ]:
         path.write_text(text)
-        with pytest.raises(ValueError, match="malformed alist"):
+        with pytest.raises(ValueError, match=re.escape(f"malformed alist file {path}: ")):
             load_alist(path)
 
 
@@ -519,15 +524,15 @@ def test_alist_without_checks_rejected(tmp_path):
 def test_linear_code_from_alist(tmp_path):
     pcm = LinearCode.generate(24, 12, col_weight=3, seed=1).pcm
     path = tmp_path / "c.alist"
-    save_alist(pcm, path)
+    write_alist(pcm, path)
     code = LinearCode.from_alist(path)
     assert code.n == 24 and code.k == 12
-    H = code.pcm.to_dense()
+    H = dense(code.pcm)
     msgs = np.eye(12, dtype=np.uint8)
     assert not (H @ encode(msgs, code).T % 2).any()
     # permutation maps systematic columns back to the loaded matrix
     perm = code.col_perm
-    loaded = load_alist(path).to_dense()
+    loaded = dense(load_alist(path))
     assert (loaded[:, perm] == H).all()
 
 
@@ -563,8 +568,8 @@ def assert_same_matrix(pcm, ref):
     for name in ("edge_var", "edge_chk", "var_slots", "chk_edges", "chk_slots"):
         a, b = getattr(pcm, name), getattr(ref, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape) and (a == b).all(), name
-    for name in ("row_adj", "col_adj"):
-        a, b = getattr(pcm, name), getattr(ref, name)
+    for name, a in (("row_adj", row_adj(pcm)), ("col_adj", col_adj(pcm))):
+        b = getattr(ref, name)
         assert len(a) == len(b), name
         assert all(x.dtype == y.dtype and x.tolist() == y.tolist() for x, y in zip(a, b)), name
 

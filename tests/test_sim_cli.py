@@ -146,10 +146,10 @@ def test_stopping_rule_bounds_confidence_width(tmp_path):
 
 
 def test_code_source_from_alist(tmp_path):
-    from ffma.linear_code import save_alist
+    from pcm_oracle import write_alist
 
     path = tmp_path / "code.alist"
-    save_alist(LinearCode.generate(96, 32, col_weight=3, seed=3).pcm, path)
+    write_alist(LinearCode.generate(96, 32, col_weight=3, seed=3).pcm, path)
     spec = tiny_spec(output=str(tmp_path / "r.csv"), code_source=str(path))
     points = run_experiment(spec)
     assert points and points[0].frames > 0
@@ -189,6 +189,19 @@ def test_emit_plot_data(tmp_path):
     assert dat_text.count("# system=") == 1
     assert len([l for l in dat_text.splitlines() if l and not l.startswith("#")]) == 3
     assert "logscale y" in (tmp_path / "r.gp").read_text()
+
+
+def test_emit_plot_data_quotes_names_for_gnuplot(tmp_path):
+    # gnuplot reads '' as one quote inside single quotes; a lone quote in
+    # the file name or a title used to end the string early.
+    out = tmp_path / "it's.csv"
+    run_experiment(tiny_spec(output=str(out), snr_grid=(4.0,), j_list=(2,)))
+    header, row = out.read_text().splitlines()
+    out.write_text(f"{header}\nS'F{row[2:]}\n")
+    _, gp = emit_plot_data(out)
+    assert gp == str(tmp_path / "it's.gp")
+    plot = (tmp_path / "it's.gp").read_text().splitlines()[5]
+    assert plot == "plot 'it''s.dat' index 0 using 1:2 with linespoints title 'S''F J=2'"
 
 
 def test_emit_plot_data_multi_j_blocks(tmp_path):
@@ -263,6 +276,22 @@ def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
     out = tmp_path / "twice.csv"
     rc = main(["-q", "run", "--system", "SF", "--n", "96", "--k", "4", "--m", "8", "--j", "2",
                "--snr", "6", "--config", str(path), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_config_file_names_an_unknown_key(tmp_path, capsys):
+    # "j" is the CLI flag; the config key is j_list.  The spec's constructor
+    # used to reject it without naming the file or the line.
+    path = _write(tmp_path / "unknown.cfg", "system = SF\n\nj = 2\n")
+    keys = ", ".join(f.name for f in dataclasses.fields(ExperimentSpec))
+    with pytest.raises(ValueError) as info:
+        parse_config_file(path)
+    assert str(info.value) == f"{path}:3: unknown key 'j'; valid keys: {keys}"
+    assert "j_list, snr_grid" in keys
+    out = tmp_path / "unknown.csv"
+    rc = main(["-q", "run", "--n", "96", "--k", "4", "--m", "8", "--snr", "6",
+               "--config", str(path), "--out", str(out)])
     assert rc == 2 and not out.exists()
     assert capsys.readouterr().err == f"error: {info.value}\n"
 
