@@ -85,8 +85,8 @@ def detector_is_finite(n0: float, a_info: float, j_users: int) -> bool:
 @dataclass
 class SystemConfig:
     """Users and a mode bound to a code, plus what follows from them (the
-    init=False fields): n = code.n, m = code.k / k and the mode's layout
-    (``mode_layout``)."""
+    init=False fields): n = code.n, m = code.k / k and the mode's
+    ``layout`` (``mode_layout``)."""
 
     code: LinearCode
     k: int
@@ -97,11 +97,7 @@ class SystemConfig:
     max_iter: int = 50
     n: int = field(init=False)
     m: int = field(init=False)
-    user_pos: np.ndarray = field(init=False, repr=False, compare=False)
-    n_info: int = field(init=False, repr=False, compare=False)
-    shift: float = field(init=False, repr=False, compare=False)
-    a_info: float = field(init=False, repr=False, compare=False)
-    a_par: float = field(init=False, repr=False, compare=False)
+    layout: ModeLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.code.k % self.k:
@@ -111,9 +107,8 @@ class SystemConfig:
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         self.n, self.m = self.code.n, self.code.k // self.k
-        (self.user_pos, self.n_info, self.shift, self.a_info, self.a_par,
-         _energy) = mode_layout(self.mode, self.n, self.k, self.m, self.j_users, self.mu_pas)
-        if not detector_is_finite(self.n0, self.a_info, self.j_users):
+        self.layout = mode_layout(self.mode, self.n, self.k, self.m, self.j_users, self.mu_pas)
+        if not detector_is_finite(self.n0, self.layout.a_info, self.j_users):
             raise ValueError(f"n0={self.n0} must be positive and leave the detector's "
                              "arithmetic finite")
 
@@ -145,13 +140,13 @@ def transmit_cfsp_batch(bits, cfg: SystemConfig) -> np.ndarray:
         raise ValueError(
             f"bits must be (batch, {cfg.j_users}, {cfg.k}), got {bits.shape}"
         )
-    B = bits.shape[0]
+    B, lay = bits.shape[0], cfg.layout
     r = np.zeros((B, cfg.n), dtype=np.float64)
-    r[:, cfg.user_pos.reshape(-1)] = bits.reshape(B, -1)
-    ni = cfg.n_info
-    r[:, :ni] = cfg.a_info * (2.0 * r[:, :ni] - 1.0) - cfg.shift
-    parity = _parity_ones(bits, cfg.code.parity, cfg.user_pos)
-    r[:, cfg.m * cfg.k:] = cfg.a_par * (2.0 * parity - float(cfg.j_users))
+    r[:, lay.user_pos.reshape(-1)] = bits.reshape(B, -1)
+    ni = lay.n_info
+    r[:, :ni] = lay.a_info * (2.0 * r[:, :ni] - 1.0) - lay.shift
+    parity = _parity_ones(bits, cfg.code.parity, lay.user_pos)
+    r[:, cfg.m * cfg.k:] = lay.a_par * (2.0 * parity - float(cfg.j_users))
     return r
 
 
@@ -307,9 +302,9 @@ def _bit_priors(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     Parity coordinates carry the sum of J independent antipodal symbols
     and get the (J+1)-level binomial mixture.
     """
-    mk = cfg.m * cfg.k
-    return np.concatenate([cfsp_posterior(y[:, :cfg.n_info] + cfg.shift, 1, cfg.a_info, cfg.n0),
-                           cfsp_posterior(y[:, mk:], cfg.j_users, cfg.a_par, cfg.n0)], axis=1)
+    mk, lay = cfg.m * cfg.k, cfg.layout
+    return np.concatenate([cfsp_posterior(y[:, :lay.n_info] + lay.shift, 1, lay.a_info, cfg.n0),
+                           cfsp_posterior(y[:, mk:], cfg.j_users, lay.a_par, cfg.n0)], axis=1)
 
 
 def receive_batch(y, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -319,5 +314,5 @@ def receive_batch(y, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     if y.ndim != 2 or y.shape[1] != cfg.n:
         raise ValueError(f"y must be (batch, {cfg.n}), got {y.shape}")
     llr = _bit_priors(y, cfg)
-    v_hat, converged = bp_decode_batch(llr, cfg.code.shortened(cfg.n_info), cfg.max_iter)
-    return v_hat[:, cfg.user_pos], converged
+    v_hat, converged = bp_decode_batch(llr, cfg.code.shortened(cfg.layout.n_info), cfg.max_iter)
+    return v_hat[:, cfg.layout.user_pos], converged

@@ -27,18 +27,18 @@ Urbanke, *Modern Coding Theory*, ch. 2): edge e joins variable
 ``edge_var[e]`` to check ``edge_chk[e]``.  Its messages are stored
 edge-major, one row per edge and one column per frame, with one more row
 for a sentinel edge, so every gather (``np.take`` along axis 0) copies
-whole rows.  Row s of ``chk_edges`` holds each check's s-th edge,
-padded with the sentinel, whose factor is 1.0; multiplying the rows of
-tanh(Lq/2) left to right gives each check's product in the order of its
-edges, bit for bit what ``np.multiply.reduceat`` gives over the check's
-segment.  An edge's leave-one-out product is that product divided by its
-own factor.  Exact zeros, looked for only when a check's product is 0,
-are left out of the product, so an erased edge (its check's only zero)
-still receives the product of the rest.  Row v of ``var_slots`` holds
-column v's edge ids, padded with the sentinel, whose message is -0.0,
-summed as slot 0 + (slot 1 + slot 2 + ...): numpy's order for a sum of
-up to 8 terms.  Syndromes XOR the decisions, an (n + 1, frames) array
-whose row n stays 0, over ``chk_slots``: the columns of ``chk_edges``'
+whole rows.  One slot loop (``_slot_reduce``) gathers row 0 of a slot
+table and folds in each later row, left to right.  Row s of ``chk_edges``
+holds each check's s-th edge, padded with the sentinel, whose factor is
+1.0; folded by multiplication, tanh(Lq/2) gives each check's product in
+edge order, bit for bit what ``np.multiply.reduceat`` gives.  An edge's
+leave-one-out product is that product divided by its own factor.  Exact
+zeros, looked for only when a check's product is 0, are left out of it,
+so an erased edge (its check's only zero) still receives the product of
+the rest.  Row v of ``var_slots`` holds column v's edge ids, padded with
+the sentinel, whose message is -0.0, summed as slot 0 + (slot 1 + ...):
+numpy's order for a sum of up to 8 terms.  Syndromes XOR the decisions
+(row n stays 0) over ``chk_slots``: the columns of ``chk_edges``'
 edges, padded with ``n``.  Loop buffers are reallocated only on a squeeze.
 A frame whose check messages repeat a snapshot bit for bit leaves after
 the pass that finds the repeat, with the decisions the full run would end
@@ -63,39 +63,23 @@ _MAX_ATTEMPTS = 20  # PEG graphs drawn, seeded (seed, attempt), before giving up
 
 
 class ParityCheckMatrix:
-    """Sparse GF(2) parity-check matrix stored as one sorted edge list.
+    """Sparse GF(2) parity-check matrix of n columns (the codeword length)
+    and n_checks checks, stored as one sorted edge list.
 
-    Parameters
-    ----------
-    n : int
-        Number of columns (codeword length).
-    row_adj : sequence of integer sequences
-        For each check row, the column indices with a 1 (any order;
-        repeats count once).
-
-    Edge e joins column ``edge_var[e]`` to check ``edge_chk[e]``; the
-    edges run in check order, each check's columns ascending.
+    It is built from the (check, column) pairs with a 1, given as two
+    integer arrays in any order; repeats count once.  Stored edge e joins
+    column ``edge_var[e]`` to check ``edge_chk[e]``; the edges run in check
+    order, each check's columns ascending.
     """
 
-    def __init__(self, n: int, row_adj) -> None:
-        rows = [np.asarray(row).ravel() for row in row_adj]
-        if not rows:
+    def __init__(self, n: int, n_checks: int, edge_chk, edge_var) -> None:
+        if n_checks < 1:
             raise ValueError("a parity-check matrix needs at least one check")
-        for c, row in enumerate(rows):
-            if row.size and row.dtype.kind not in "iu":
-                raise ValueError(f"check {c} lists non-integer columns ({row.dtype})")
-        edge_chk = np.repeat(np.arange(len(rows)), [row.size for row in rows])
-        self._index(n, len(rows), edge_chk, np.concatenate(rows).astype(np.int64, copy=False))
-
-    @classmethod
-    def _from_edges(cls, n: int, n_checks: int, edge_chk, edge_var) -> "ParityCheckMatrix":
-        """The matrix of (check, column) pairs given as two arrays, any order."""
-        pcm = cls.__new__(cls)
-        pcm._index(n, n_checks, edge_chk, edge_var)
-        return pcm
-
-    def _index(self, n: int, n_checks: int, edge_chk, edge_var) -> None:
-        """Check the edges, sort and deduplicate them, and build the slot tables."""
+        edge_chk, edge_var = np.asarray(edge_chk), np.asarray(edge_var)
+        for name, a in (("edge_chk", edge_chk), ("edge_var", edge_var)):
+            if a.size and a.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got {a.dtype}")
+        edge_chk, edge_var = (a.astype(np.int64, copy=False) for a in (edge_chk, edge_var))
         self.n, self.n_checks = int(n), n_checks
         order = np.lexsort((edge_var, edge_chk))
         edge_chk, edge_var = edge_chk[order], edge_var[order]
@@ -170,7 +154,7 @@ class LinearCode:
             var = self.pcm.edge_var
             keep = (var < n_sent) | (var >= self.k)
             var = var[keep]
-            self._shortened[n_sent] = ParityCheckMatrix._from_edges(
+            self._shortened[n_sent] = ParityCheckMatrix(
                 self.n - cut, self.pcm.n_checks, self.pcm.edge_chk[keep],
                 np.where(var >= self.k, var - cut, var))
         return self._shortened[n_sent]
@@ -205,8 +189,8 @@ class LinearCode:
 
         for attempt in range(_MAX_ATTEMPTS):
             rng = np.random.default_rng((seed, attempt))
-            chk_adj = _peg_graph(n, n_checks, col_weight, rng)
-            code = _systematize(ParityCheckMatrix(n, chk_adj))
+            edges = _peg_graph(n, n_checks, col_weight, rng)
+            code = _systematize(ParityCheckMatrix(n, n_checks, *edges))
             if code is not None:
                 return code
         raise ValueError(
@@ -226,8 +210,9 @@ class LinearCode:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _peg_graph(n: int, n_checks: int, col_weight: int, rng) -> list[list[int]]:
-    """Progressive-edge-growth placement; returns per-check column lists.
+def _peg_graph(n: int, n_checks: int, col_weight: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Progressive-edge-growth placement; returns the edges (edge_chk, edge_var),
+    each variable's checks in the order they were placed.
 
     Row c of ``hop`` is c's walk list (see the module docstring), padded
     with n_checks, which every search counts as reached.  ``key[c]`` is c's
@@ -236,7 +221,6 @@ def _peg_graph(n: int, n_checks: int, col_weight: int, rng) -> list[list[int]]:
     """
     chk_deg = np.zeros(n_checks, dtype=np.int64)
     var_adj: list[list[int]] = [[] for _ in range(n)]
-    chk_adj: list[list[int]] = [[] for _ in range(n_checks)]
     hop = np.full((n_checks + 1, 0), n_checks)
     hop_len = [0] * n_checks
     pos = np.empty(0, dtype=np.int64)  # hop.size, ..., 2, 1: no search walks further
@@ -276,9 +260,8 @@ def _peg_graph(n: int, n_checks: int, col_weight: int, rng) -> list[list[int]]:
                 hop[c2, hop_len[c2]] = c
                 hop_len[c2] += 1
             adj.append(c)
-            chk_adj[c].append(v)
             chk_deg[c] += 1
-    return chk_adj
+    return np.array(var_adj, dtype=np.int64).ravel(), np.arange(n).repeat(col_weight)
 
 
 def _systematize(pcm: ParityCheckMatrix) -> LinearCode | None:
@@ -333,7 +316,7 @@ def _systematize(pcm: ParityCheckMatrix) -> LinearCode | None:
     parity >>= (info_cols & 7).astype(np.uint8)[:, None]
     parity &= 1
 
-    permuted = ParityCheckMatrix._from_edges(n, n_checks, pcm.edge_chk, new_pos[pcm.edge_var])
+    permuted = ParityCheckMatrix(n, n_checks, pcm.edge_chk, new_pos[pcm.edge_var])
     return LinearCode(permuted, parity, perm)
 
 
@@ -447,7 +430,7 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
         # T = tanh(Lq/2) overwrites Lq, which is rebuilt from post below.
         T = np.tanh(np.multiply(Lq, 0.5, out=Lq), out=Lq)
         T[n_edges] = 1.0
-        _slot_product(T, pcm.chk_edges, prod, factor)
+        _slot_reduce(np.multiply, T, pcm.chk_edges, prod, factor)
         # An exact-zero factor makes its check's product 0, and so may an
         # underflow; only then are the zeros looked for.
         zero = None if prod.all() else T == 0
@@ -455,7 +438,7 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
             zero = None
         if zero is not None:
             T[zero] = 1.0
-            _slot_product(T, pcm.chk_edges, prod, factor)
+            _slot_reduce(np.multiply, T, pcm.chk_edges, prod, factor)
         np.take(prod, edge_chk, axis=0, out=Lr, mode="clip")
         Lr /= T
         if zero is not None:
@@ -489,28 +472,26 @@ def bp_decode_batch(llr, pcm: ParityCheckMatrix, max_iter: int = 50) -> tuple[np
                 marks = np.vstack([marks, mark])
 
         # Variable-node update and posterior: L0 + (slot 0 + (slot 1 + ...)).
-        np.take(Lr, var_rows[0], axis=0, out=post, mode="clip")
-        for row in var_rows[1:]:
-            post += np.take(Lr, row, axis=0, out=slot, mode="clip")
+        _slot_reduce(np.add, Lr, var_rows, post, slot)
         post += L0
         np.take(post, edge_var, axis=0, out=Lq, mode="clip")
         Lq -= Lr
     return bits_out, conv
 
 
-def _slot_product(T: np.ndarray, slots: np.ndarray, out: np.ndarray, factor: np.ndarray) -> None:
-    """out[c] = T[slots[0, c]] * T[slots[1, c]] * ..., multiplied left to right."""
-    np.take(T, slots[0], axis=0, out=out, mode="clip")
+def _slot_reduce(ufunc, src: np.ndarray, slots: np.ndarray, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """out[c] = src[slots[0, c]] (ufunc) src[slots[1, c]] (ufunc) ..., folded
+    left to right; each later slot row is gathered into buf."""
+    np.take(src, slots[0], axis=0, out=out, mode="clip")
     for row in slots[1:]:
-        out *= np.take(T, row, axis=0, out=factor, mode="clip")
+        ufunc(out, np.take(src, row, axis=0, out=buf, mode="clip"), out=out)
+    return out
 
 
 def _checks_satisfied(hard: np.ndarray, pcm: ParityCheckMatrix) -> np.ndarray:
     """Zero-syndrome flags of (n + 1, frames) decisions whose row n is 0."""
-    syndrome = np.take(hard, pcm.chk_slots[0], axis=0)
-    for row in pcm.chk_slots[1:]:
-        syndrome ^= np.take(hard, row, axis=0)
-    return ~syndrome.any(axis=0)
+    syndrome, buf = np.empty((2, pcm.n_checks, hard.shape[1]), hard.dtype)
+    return ~_slot_reduce(np.bitwise_xor, hard, pcm.chk_slots, syndrome, buf).any(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +512,31 @@ def load_alist(path) -> ParityCheckMatrix:
             raise ValueError("column degree list length mismatch")
         if len(data) < 4 + n:
             raise ValueError("truncated column adjacency section")
-        row_adj: list[list[int]] = [[] for _ in range(n_checks)]
+        edge_chk: list[int] = []
         for c in range(n):
-            entries = [e for e in data[4 + c] if e > 0]
+            if not col_deg[c]:  # unpadded, its line is blank and was dropped above
+                raise ValueError(f"column {c} lists no checks")
+            entries = [e for e in data[4 + c] if e]  # 0 pads a line
+            for e in entries:
+                if not 1 <= e <= n_checks:
+                    raise ValueError(f"column {c} lists check {e}, outside [1, {n_checks}]")
             if len(entries) != col_deg[c]:
                 raise ValueError(f"column {c} lists {len(entries)} checks, expected {col_deg[c]}")
             if len(set(entries)) != len(entries):
                 raise ValueError(f"column {c} lists a check more than once")
-            for e in entries:
-                if not 1 <= e <= n_checks:
-                    raise ValueError(f"column {c} references check {e} outside [1, {n_checks}]")
-                row_adj[e - 1].append(c)
-        if data[3] != [len(row) for row in row_adj]:
+            edge_chk += [e - 1 for e in entries]
+        if data[3] != np.bincount(edge_chk, minlength=n_checks).tolist():
             raise ValueError("row degree list does not match the column section")
+        # An empty check row is refused here, before its blank line shifts the rows.
+        pcm = ParityCheckMatrix(n, n_checks, edge_chk, np.arange(n).repeat(col_deg))
         if len(data) < 4 + n + n_checks:
             raise ValueError("truncated row adjacency section")
-        for r, row in enumerate(row_adj):
-            if sorted(e for e in data[4 + n + r] if e > 0) != [c + 1 for c in row]:
+        for r, row in enumerate(np.split(pcm.edge_var + 1, np.cumsum(data[3])[:-1])):
+            line = data[4 + n + r]
+            if min(line) < 0:
+                raise ValueError(f"row {r} lists column {min(line)}, outside [1, {n}]")
+            if sorted(e for e in line if e) != row.tolist():
                 raise ValueError(f"row {r} does not match the column section")
-        return ParityCheckMatrix(n, row_adj)
+        return pcm
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed alist file {path}: {exc}") from exc

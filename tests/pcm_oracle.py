@@ -7,6 +7,8 @@ sorts and deduplicates all (check, column) pairs at once instead.  For
 every valid input both must give the same arrays, and for every input
 this reference refuses, the same error message.
 
+``row_edges`` turns check rows into the (edge_chk, edge_var) arrays that
+``ParityCheckMatrix(n, n_checks, edge_chk, edge_var)`` takes.
 ``row_adj``, ``col_adj`` and ``dense`` read a matrix's check rows, its
 columns and its dense form off its edge list (``edge_chk``, ``edge_var``),
 and ``write_alist`` writes it as an alist file, the format
@@ -49,6 +51,16 @@ class RowMatrix:
         self.chk_edges = np.full((int(row_deg.max()), self.n_checks), n_edges)
         self.chk_edges[chk_rank, self.edge_chk] = np.arange(n_edges)
         self.chk_slots = np.append(self.edge_var, self.n)[self.chk_edges]
+
+
+def row_edges(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(edge_chk, edge_var) of check rows given as column sequences, in row
+    order.  An empty row adds no edge, so its dtype (a float64 ``[]``) does
+    not change the columns' dtype."""
+    rows = [np.asarray(row).ravel() for row in rows]
+    edge_chk = np.repeat(np.arange(len(rows)), [row.size for row in rows])
+    full = [row for row in rows if row.size]
+    return edge_chk, np.concatenate(full) if full else np.empty(0, np.int64)
 
 
 def row_adj(pcm) -> list[np.ndarray]:

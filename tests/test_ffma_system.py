@@ -9,6 +9,7 @@ from scipy.stats import binom
 
 from map_oracle import bitwise_map, codebook
 from mixture_oracle import bisection_posterior, full_mixture_posterior
+from pcm_oracle import row_edges
 from per_user_tx import df_transmit, encode, pa_transmit, sf_transmit, transmit, user_parity
 
 import ffma.ffma_system as ffma_system
@@ -264,7 +265,7 @@ def test_config_rejects_a_noise_level_the_detector_cannot_use(code96, mode, n0):
 
 def test_pa_allocation_satisfies_power_constraint(code96):
     cfg = SystemConfig(code96, 4, 4, "PA", mu_pas=8.0)
-    mu1, mu2 = cfg.a_info**2, cfg.a_par**2
+    mu1, mu2 = cfg.layout.a_info**2, cfg.layout.a_par**2
     assert math.isclose(mu1 / mu2, 8.0, rel_tol=1e-12)
     assert math.isclose(cfg.n, cfg.k * mu1 + (cfg.n - cfg.m * cfg.k) * mu2, rel_tol=1e-12)
 
@@ -273,14 +274,14 @@ def test_pa_allocation_full_scale_values():
     # The closed form only involves (n, k, m, mu_pas), so a hand-made
     # systematic (6000, 3000) code H = [I | I], P = I stands in for PEG.
     eye = np.arange(3000)
-    code = LinearCode(ParityCheckMatrix(6000, np.stack([eye, eye + 3000], axis=1)),
+    code = LinearCode(ParityCheckMatrix(6000, 3000, *row_edges(np.stack([eye, eye + 3000], 1))),
                       np.eye(3000, dtype=np.uint8), np.arange(6000))
     cfg = SystemConfig(code, 10, 1, "PA", mu_pas=300.0)
     assert (cfg.n, cfg.m) == (6000, 300)
-    assert math.isclose(cfg.a_info**2, 300.0) and math.isclose(cfg.a_par**2, 1.0)
+    assert math.isclose(cfg.layout.a_info**2, 300.0) and math.isclose(cfg.layout.a_par**2, 1.0)
     cfg = SystemConfig(code, 10, 1, "PA", mu_pas=1.0)
     expect = 6000 / (6000 - 299 * 10)
-    assert math.isclose(cfg.a_info**2, expect) and math.isclose(cfg.a_par**2, expect)
+    assert math.isclose(cfg.layout.a_info**2, expect) and math.isclose(cfg.layout.a_par**2, expect)
 
 
 def test_pa_allocation_bounds(code96):
@@ -289,7 +290,7 @@ def test_pa_allocation_bounds(code96):
     with pytest.raises(ValueError):
         SystemConfig(code96, 4, 4, "PA", mu_pas=0.5)
     cfg_df = SystemConfig(code96, 4, 4, "DF", mu_pas=9.0)  # mu_pas is PA's alone
-    assert cfg_df.a_info == cfg_df.a_par == 1.0
+    assert cfg_df.layout.a_info == cfg_df.layout.a_par == 1.0
 
 
 def test_pa_energy_conservation(code96):
@@ -314,9 +315,9 @@ def test_pa_amplitude_ratio_and_degenerate_case(code96):
     assert np.allclose(info.max() / par.max(), math.sqrt(4.0))
     # mu_pas = 1 makes both scales equal: PA = DF * sqrt(mu1)
     cfg1 = SystemConfig(code96, 4, 4, "PA", mu_pas=1.0)
-    assert math.isclose(cfg1.a_info, cfg1.a_par)
+    assert math.isclose(cfg1.layout.a_info, cfg1.layout.a_par)
     cfg_df = SystemConfig(code96, 4, 4, "DF")
-    assert np.allclose(pa_transmit(bits, cfg1), cfg1.a_info * df_transmit(bits, cfg_df))
+    assert np.allclose(pa_transmit(bits, cfg1), cfg1.layout.a_info * df_transmit(bits, cfg_df))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +517,7 @@ def test_bp_decodes_only_sent_coordinates(code96, mode, monkeypatch):
         shape, pcm = seen.pop()
         width = 96 if mode == "SF" else j_users * 4 + 96 - 32
         assert shape == (3, width) and pcm.n == width, j_users
-        assert pcm is code96.shortened(cfg.n_info)
+        assert pcm is code96.shortened(cfg.layout.n_info)
         assert (pcm is code96.pcm) == (mode == "SF" or j_users == 8)
 
 
@@ -533,7 +534,7 @@ def test_cfsp_batch_matches_per_user_transmit(code96, mode, monkeypatch):
         # The receiver gets an LLR for each sent coordinate only: DF/PA
         # leave out the silent slots [J*k, m*k).
         llr = ffma_system._bit_priors(r_fast + rng.normal(0.0, 0.5, r_fast.shape), cfg)
-        assert llr.shape == (7, cfg.n_info + 96 - 32) and np.isfinite(llr).all()
+        assert llr.shape == (7, cfg.layout.n_info + 96 - 32) and np.isfinite(llr).all()
         # 7 frames and 64 parity columns: a budget of 900 elements takes the
         # users two at a time, and the sum must not change by a bit.
         with monkeypatch.context() as patch:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bp_oracle import frame_major_bp_decode_batch, padded_bp_decode_batch
-from pcm_oracle import RowMatrix, col_adj, dense, row_adj, write_alist
+from pcm_oracle import RowMatrix, col_adj, dense, row_adj, row_edges, write_alist
 from pcm_oracle import shortened as shortened_oracle
 from per_user_tx import encode
 from peg_oracle import peg_graph
@@ -47,6 +47,11 @@ def _padded(hard):
     """(frames, n) decisions as the (n + 1, frames) array, row n zero, that
     the syndrome test reads."""
     return np.vstack([hard.T, np.zeros((1, hard.shape[0]), hard.dtype)])
+
+
+def _from_rows(n, rows):
+    """The matrix whose check r has the columns rows[r]."""
+    return ParityCheckMatrix(n, len(rows), *row_edges(rows))
 
 
 def test_construct_dimensions_and_weights(toy_code):
@@ -134,9 +139,13 @@ def test_construction_gives_up_on_rank_deficient_graphs():
     (96, 64, 3, 11, 1),  # a retry draw
 ])
 def test_peg_graph_matches_oracle(n, k, col_weight, seed, attempt):
+    # The oracle lists each check's columns in the order they were placed,
+    # which is ascending; so do the fast edges once sorted by check, then column.
     args = (n, n - k, col_weight)
-    fast = linear_code._peg_graph(*args, np.random.default_rng((seed, attempt)))
-    assert fast == peg_graph(*args, np.random.default_rng((seed, attempt)))
+    edge_chk, edge_var = linear_code._peg_graph(*args, np.random.default_rng((seed, attempt)))
+    fast = sorted(zip(edge_chk.tolist(), edge_var.tolist()))
+    rows = peg_graph(*args, np.random.default_rng((seed, attempt)))
+    assert fast == [(c, v) for c, row in enumerate(rows) for v in row]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
@@ -313,7 +322,7 @@ def _irregular_pcm(tmp_path):
     cols = [rng.choice(24, size=d, replace=False) for d in np.resize([2, 3, 4], 48)]
     rows = [[c for c, col in enumerate(cols) if r in col] for r in range(24)]
     path = tmp_path / "irregular.alist"
-    write_alist(ParityCheckMatrix(48, rows), path)
+    write_alist(_from_rows(48, rows), path)
     return load_alist(path)
 
 
@@ -393,6 +402,23 @@ def test_bp_matches_frame_major_decoder_bit_for_bit(desk_code):
             assert conv.tobytes() == ref_conv.tobytes(), (pcm.n, max_iter)
 
 
+def test_bp_underflowing_check_products_match_both_oracles(toy_code):
+    # Factors tanh(L/2) of 1e-120 to 1e-60 are far from 0, but each check's
+    # product of them underflows to 0.  The decoder then looks for exact
+    # zeros, finds none, and divides as usual.
+    rng = np.random.default_rng(15)
+    llr = rng.choice([-1.0, 1.0], (200, 12)) * 10.0 ** rng.uniform(-120, -60, (200, 12))
+    factors = np.tanh(llr / 2.0)
+    assert (factors != 0).all()
+    assert (np.array([factors[:, row].prod(axis=1) for row in row_adj(toy_code.pcm)]) == 0).all()
+    for max_iter in (0, 1, 5, 50):
+        bits, conv = bp_decode_batch(llr, toy_code.pcm, max_iter)
+        for oracle in (padded_bp_decode_batch, frame_major_bp_decode_batch):
+            ref_bits, ref_conv = oracle(llr, toy_code.pcm, max_iter)
+            assert bits.tobytes() == ref_bits.tobytes(), (oracle.__name__, max_iter)
+            assert conv.tobytes() == ref_conv.tobytes(), (oracle.__name__, max_iter)
+
+
 # On LinearCode.generate(n=8, k=4, col_weight=3, seed=1), these frames'
 # messages settle into a period-2 cycle whose hard decisions flip every
 # iteration.
@@ -419,7 +445,7 @@ def test_bp_cycle_exit_proves_a_repeat_in_full():
     # skips.  Every pass matches the fingerprint of every snapshot, and only
     # the full comparison tells the period-2 cycle from a fixed point.
     oscillator = LinearCode.generate(n=8, k=4, col_weight=3, seed=1).pcm
-    pcm = ParityCheckMatrix(105, [np.arange(97)] * 33 + [row + 97 for row in row_adj(oscillator)])
+    pcm = _from_rows(105, [np.arange(97)] * 33 + [row + 97 for row in row_adj(oscillator)])
     assert pcm.edge_var.size == 3225 and (np.arange(3201, 3225) % (3225 // 128)).all()
     llr = np.hstack([np.full((3, 97), LLR_CLAMP), OSCILLATING])
     for max_iter in range(1, 41):
@@ -491,24 +517,49 @@ def test_alist_unpadded_accepted(tmp_path):
 
 def test_alist_malformed_rejected(tmp_path):
     path = tmp_path / "bad.alist"
-    for text in [
-        "4 2\n2 2\n1 2 1\n3 2\n",
+    for text, reason in [
+        ("4 2\n2 2\n1 2 1\n3 2\n", "column degree list length mismatch"),
         # column 1 lists check 1 twice
-        "4 2\n2 2\n1 2 1 1\n3 2\n1 0\n1 1\n2 0\n1 0\n1 2 4 0\n2 3 0 0\n",
+        ("4 2\n2 2\n1 2 1 1\n3 2\n1 0\n1 1\n2 0\n1 0\n1 2 4 0\n2 3 0 0\n",
+         "column 1 lists a check more than once"),
         # rows say check 2 is {1, 2}, the columns say {2, 3}
-        "4 2\n2 2\n1 2 1 1\n3 2\n1 0\n1 2\n2 0\n1 0\n1 2 4 0\n1 2 0 0\n",
+        ("4 2\n2 2\n1 2 1 1\n3 2\n1 0\n1 2\n2 0\n1 0\n1 2 4 0\n1 2 0 0\n",
+         "row 1 does not match the column section"),
         # row degree list disagrees with the columns
-        "4 2\n2 2\n1 2 1 1\n2 3\n1 0\n1 2\n2 0\n1 0\n1 2 4 0\n2 3 0 0\n",
+        ("4 2\n2 2\n1 2 1 1\n2 3\n1 0\n1 2\n2 0\n1 0\n1 2 4 0\n2 3 0 0\n",
+         "row degree list does not match the column section"),
         # no row section
-        "4 2\n2 2\n1 2 1 1\n3 2\n1 0\n1 2\n2 0\n1 0\n",
+        ("4 2\n2 2\n1 2 1 1\n3 2\n1 0\n1 2\n2 0\n1 0\n", "truncated row adjacency section"),
         # column 3 lists no check; the sections agree
-        "4 2\n2 2\n1 2 1 0\n2 2\n1 0\n1 2\n2 0\n0 0\n1 2 0 0\n2 3 0 0\n",
+        ("4 2\n2 2\n1 2 1 0\n2 2\n1 0\n1 2\n2 0\n0 0\n1 2 0 0\n2 3 0 0\n",
+         "column 3 lists no checks"),
+        # the same unpadded: column 3's line is blank
+        ("4 2\n2 2\n1 2 1 0\n2 2\n1\n1 2\n2\n\n1 2\n2 3\n", "column 3 lists no checks"),
         # check 2 lists no column; the sections agree
-        "4 2\n1 4\n1 1 1 1\n4 0\n1\n1\n1\n1\n1 2 3 4\n0 0 0 0\n",
+        ("4 2\n1 4\n1 1 1 1\n4 0\n1\n1\n1\n1\n1 2 3 4\n0 0 0 0\n",
+         "check 1 has no connected columns"),
+        # the same unpadded: check 2's line is blank
+        ("4 2\n1 4\n1 1 1 1\n4 0\n1\n1\n1\n1\n1 2 3 4\n\n", "check 1 has no connected columns"),
+        ("4 2\n2 2\n1 2 1 1\n3 2\n1\n1 5\n2\n1\n1 2 4\n2 3\n",
+         "column 1 lists check 5, outside [1, 2]"),
     ]:
         path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(f"malformed alist file {path}: ")):
+        with pytest.raises(ValueError, match=re.escape(f"malformed alist file {path}: {reason}")):
             load_alist(path)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("4 2\n2 2\n1 2 1 1\n3 2\n1 -2\n1 2\n2\n1\n1 2 4\n2 3\n",
+     "column 0 lists check -2, outside [1, 2]"),
+    ("4 2\n2 2\n1 2 1 1\n3 2\n1\n1 2\n2\n1\n1 2 4 -7\n2 3\n",
+     "row 0 lists column -7, outside [1, 4]"),
+], ids=["column", "row"])
+def test_alist_negative_entry_rejected(tmp_path, text, reason):
+    # Only 0 pads a line; these files loaded as if each -k were padding.
+    path = tmp_path / "negative.alist"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"malformed alist file {path}: {reason}")):
+        load_alist(path)
 
 
 def test_alist_without_checks_rejected(tmp_path):
@@ -538,21 +589,27 @@ def test_linear_code_from_alist(tmp_path):
 
 def test_parity_check_matrix_validation():
     with pytest.raises(ValueError, match="at least one check"):
-        ParityCheckMatrix(4, [])
+        ParityCheckMatrix(4, 0, [], [])
     with pytest.raises(ValueError, match="check 1 has no connected columns"):
-        ParityCheckMatrix(4, [[0, 1], []])
+        _from_rows(4, [[0, 1], []])
     with pytest.raises(ValueError, match="check 1 has no connected columns"):
-        ParityCheckMatrix(4, [[0, 1, 2, 3], np.array([], dtype=np.float64)])
+        _from_rows(4, [[0, 1, 2, 3], np.array([], dtype=np.float64)])
+    with pytest.raises(ValueError, match="check 0 has no connected columns"):
+        ParityCheckMatrix(4, 1, np.array([]), np.array([]))  # no edges: any dtype
     with pytest.raises(ValueError, match=r"check 0 references columns outside \[0, 4\)"):
-        ParityCheckMatrix(4, [[0, 5]])
+        _from_rows(4, [[0, 5]])
     with pytest.raises(ValueError, match=r"columns with no parity checks: \[2, 3\]"):
-        ParityCheckMatrix(4, [[0, 1], [0, 1]])
-    # Column indices must be integers: floats used to be truncated and
-    # strings parsed, so these built the rows [0, 1] and [1, 2].
-    for rows, bad in [([[0.9, 1.2], [1.7, 2.0]], 0), ([["0", "1"], [1, 2]], 0),
-                      ([[0, 1], [True, False]], 1), ([[0, 1, 2], [2.0]], 1)]:
-        with pytest.raises(ValueError, match=f"check {bad} lists non-integer columns"):
-            ParityCheckMatrix(3, rows)
+        _from_rows(4, [[0, 1], [0, 1]])
+    # Indices must be integers: floats used to be truncated and strings
+    # parsed, so these built the rows [0, 1] and [1, 2].
+    for edge_chk, edge_var, bad in [
+            ([0, 0, 1, 1], [0.9, 1.2, 1.7, 2.0], "edge_var must hold integers, got float64"),
+            ([0, 0, 1, 1], ["0", "1", "1", "2"], "edge_var must hold integers, got <U1"),
+            ([0, 0, 1, 1], [False, True, True, False], "edge_var must hold integers, got bool"),
+            ([0.0, 0.0, 1.0, 1.0], [0, 1, 1, 2], "edge_chk must hold integers, got float64"),
+            (*row_edges([[0, 1, 2], [2.0]]), "edge_var must hold integers, got float64")]:
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            ParityCheckMatrix(3, 2, np.array(edge_chk), np.array(edge_var))
 
 
 def _build(cls, n, rows):
@@ -599,7 +656,7 @@ def test_parity_check_matrix_matches_row_oracle(seed):
     if form != 3:
         rows = [row.tolist() if form == 0 else row.astype([np.int32, np.int64][form - 1])
                 for row in rows]
-    pcm, err = _build(ParityCheckMatrix, n, rows)
+    pcm, err = _build(_from_rows, n, rows)
     ref, ref_err = _build(RowMatrix, n, rows)
     assert err == ref_err
     if ref is not None:
@@ -609,7 +666,7 @@ def test_parity_check_matrix_matches_row_oracle(seed):
 @pytest.mark.parametrize("rows", [[], [[0, 1], []], [[], []], [[0, 1], [2, 4]], [[0, -1], [9]],
                                   [[0, 1], [0, 1]], [[3, 3, 0], [1, 1]]])
 def test_parity_check_matrix_errors_match_row_oracle(rows):
-    _, err = _build(ParityCheckMatrix, 4, rows)
+    _, err = _build(_from_rows, 4, rows)
     assert err is not None and err == _build(RowMatrix, 4, rows)[1]
 
 
